@@ -18,6 +18,7 @@ over). With an exhaustive beam and no pruning the search is exact.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -61,7 +62,8 @@ class EmissionMatrix:
 
     Column ``blank_index`` is the CTC blank; the remaining V columns map to
     ``unit_labels`` in order (label j sits at column j when j < blank_index,
-    else at column j+1).
+    else at column j+1). Labels are unique, and every entry is finite or
+    -inf (probability zero).
     """
 
     log_probs: np.ndarray
@@ -81,7 +83,21 @@ class EmissionMatrix:
             raise ValueError(f"{num_units} unit labels require {num_units + 1} columns, got {lp.shape[1]}")
         if not 0 <= self.blank_index <= num_units:
             raise ValueError(f"blank_index {self.blank_index} out of range")
-        row_sums = np.power(10.0, lp).sum(axis=1)
+        if len(set(self.unit_labels)) != num_units:
+            labels = self.unit_labels
+            duplicate = next(u for i, u in enumerate(labels) if u in labels[:i])
+            raise ValueError(f"duplicate unit label {duplicate!r}")
+        # One pass screens for NaN and +inf: either makes the total NaN or +inf.
+        with np.errstate(invalid="ignore"):
+            total = lp.sum()
+        if not total < np.inf:
+            bad = np.argwhere(np.isnan(lp) | (lp == np.inf))
+            if bad.size:
+                t, c = bad[0]
+                raise ValueError(f"frame {t} class {c} is {lp[t, c]}, not a finite log10 probability or -inf")
+        # Only finite entries carry mass; 10**-inf would add nothing but time.
+        rows, cols = np.nonzero(lp > NEG_INF)
+        row_sums = np.bincount(rows, weights=np.power(10.0, lp[rows, cols]), minlength=lp.shape[0])
         bad = np.nonzero(np.abs(row_sums - 1.0) > 1e-5)[0]
         if bad.size:
             raise ValueError(f"row {bad[0]} sums to {row_sums[bad[0]]:.8f}, not 1")
@@ -102,6 +118,19 @@ class EmissionMatrix:
         if class_index == self.blank_index:
             raise ValueError("blank class has no unit")
         return class_index if class_index < self.blank_index else class_index - 1
+
+
+def _entries_by_frame(
+    log_probs: np.ndarray, floor: float, relabel: np.ndarray | None = None
+) -> list[list[tuple[int, float]]]:
+    """Per frame, the ``(class, log10 prob)`` pairs strictly above ``floor``,
+    in ascending class order, as Python ints and floats. ``relabel`` maps
+    each class index to the int reported in its place."""
+    rows, cols = np.nonzero(log_probs > floor)
+    keys = (cols if relabel is None else relabel[cols]).tolist()
+    pairs = list(zip(keys, log_probs[rows, cols].tolist()))
+    bounds = np.searchsorted(rows, np.arange(log_probs.shape[0] + 1)).tolist()
+    return [pairs[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def collapse_alignment(frames: Sequence[int], blank: int) -> list[int]:
@@ -213,10 +242,16 @@ def prefix_beam_search(
     beta = config.insertion_bonus
     order = lm.order if lm is not None else 1
 
-    labels = emissions.unit_labels
-    blank = emissions.blank_index
+    # Units are renumbered by sorted label, so prefix tuples of unit numbers
+    # sort exactly like their label strings (labels are unique); -1 is blank.
+    by_label = sorted(range(emissions.num_units), key=emissions.unit_labels.__getitem__)
+    labels = [emissions.unit_labels[u] for u in by_label]
+    unit_number = np.empty(emissions.num_units, dtype=np.int64)
+    unit_number[by_label] = np.arange(emissions.num_units)
+    unit_of_class = np.insert(unit_number, emissions.blank_index, -1)
+    frames = _entries_by_frame(emissions.log_probs, config.prune_threshold, unit_of_class)
 
-    # prefix (tuple of unit indices) -> [p_blank, p_nonblank]
+    # prefix (tuple of unit numbers) -> [p_blank, p_nonblank]
     beam: dict[tuple[int, ...], list[float]] = {(): [0.0, NEG_INF]}
     # prefix -> (cumulative lm log10, lm context tuple); grows append-only.
     lm_cache: dict[tuple[int, ...], tuple[float, tuple[str, ...]]] = {(): (0.0, (BOS,))}
@@ -224,6 +259,9 @@ def prefix_beam_search(
     def fused(prefix: tuple[int, ...], masses: list[float]) -> float:
         total = log10addexp(masses[0], masses[1])
         return total + alpha * lm_cache[prefix][0] + beta * len(prefix)
+
+    def rank_key(item: tuple[tuple[int, ...], list[float]]) -> tuple[float, tuple[int, ...]]:
+        return -fused(*item), item[0]
 
     def extend_meta(prefix: tuple[int, ...], unit: int) -> None:
         child = prefix + (unit,)
@@ -236,8 +274,7 @@ def prefix_beam_search(
             ctx = (ctx + (token,))[-(order - 1):] if order > 1 else ()
         lm_cache[child] = (cum, ctx)
 
-    for row in emissions.log_probs:
-        active = [int(c) for c in np.nonzero(row > config.prune_threshold)[0]]
+    for active in frames:
         next_beam: dict[tuple[int, ...], list[float]] = {}
 
         def bump(prefix: tuple[int, ...], slot: int, value: float) -> None:
@@ -249,13 +286,11 @@ def prefix_beam_search(
 
         for prefix, (p_b, p_nb) in beam.items():
             total = log10addexp(p_b, p_nb)
-            for class_index in active:
-                score = row[class_index]
-                if class_index == blank:
+            last = prefix[-1] if prefix else None
+            for unit, score in active:
+                if unit < 0:
                     bump(prefix, 0, total + score)
-                    continue
-                unit = emissions.unit_of_class(class_index)
-                if prefix and prefix[-1] == unit:
+                elif unit == last:
                     # Repeat merges unless a blank separated it.
                     bump(prefix, 1, p_nb + score)
                     if p_b != NEG_INF:
@@ -265,17 +300,10 @@ def prefix_beam_search(
                     extend_meta(prefix, unit)
                     bump(prefix + (unit,), 1, total + score)
 
-        ranked = sorted(
-            next_beam.items(),
-            key=lambda item: (-fused(item[0], item[1]), tuple(labels[u] for u in item[0])),
-        )
-        beam = dict(ranked[: config.beam_width])
+        beam = dict(heapq.nsmallest(config.beam_width, next_beam.items(), key=rank_key))
 
-    results = sorted(
-        ((tuple(labels[u] for u in prefix), fused(prefix, masses)) for prefix, masses in beam.items()),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return results[: config.beam_width]
+    # The beam is already ranked best first.
+    return [(tuple(labels[u] for u in prefix), fused(prefix, masses)) for prefix, masses in beam.items()]
 
 
 def brute_force_decode(
@@ -314,18 +342,25 @@ def brute_force_decode(
 
 
 def write_emissions(emissions: EmissionMatrix, sink) -> None:
-    """Text form: ``T V blank_index`` header, the unit-label line, then T
-    rows of V+1 log10 probabilities."""
+    """Text form: ``T V blank_index`` header, the unit-label line, then one
+    row per frame listing its finite entries as space-separated
+    ``class:log10prob`` pairs in ascending class order. Every entry left
+    out is -inf."""
     for label in emissions.unit_labels:
-        if " " in label:
-            raise ValueError(f"unit label {label!r} contains a space")
+        if label.split() != [label]:
+            raise ValueError(f"unit label {label!r} is empty or contains whitespace")
     sink.write(f"{emissions.num_frames} {emissions.num_units} {emissions.blank_index}\n")
     sink.write(" ".join(emissions.unit_labels) + "\n")
-    for row in emissions.log_probs:
-        sink.write(" ".join(repr(float(v)) for v in row) + "\n")
+    for entries in _entries_by_frame(emissions.log_probs, NEG_INF):
+        sink.write(" ".join(f"{c}:{v!r}" for c, v in entries) + "\n")
 
 
 def read_emissions(source) -> EmissionMatrix:
+    """Parse the text form written by ``write_emissions``. Raises ValueError
+    naming the line for rows past the declared frame count, for an entry
+    that is not ``class:value`` (a dense row from an earlier version
+    included), for a class out of range, repeated or out of ascending order,
+    and for a value that is not finite."""
     lines = source.read().splitlines() if hasattr(source, "read") else [l.rstrip("\n") for l in source]
     if len(lines) < 2:
         raise ValueError("emission file needs a header line and a label line")
@@ -338,5 +373,25 @@ def read_emissions(source) -> EmissionMatrix:
         raise ValueError(f"header declares {V} units, label line has {len(unit_labels)}")
     if len(lines) < 2 + T:
         raise ValueError(f"header declares {T} frames, file has {len(lines) - 2} rows")
-    rows = [[float(v) for v in lines[2 + t].split()] for t in range(T)]
-    return EmissionMatrix(log_probs=np.array(rows), unit_labels=unit_labels, blank_index=blank_index)
+    if len(lines) > 2 + T:
+        raise ValueError(f"line {3 + T}: row past the {T} frames the header declares")
+    log_probs = np.full((T, V + 1), NEG_INF)
+    for t in range(T):
+        line_no = 3 + t
+        previous = -1
+        for entry in lines[2 + t].split():
+            class_text, _, value_text = entry.partition(":")
+            try:  # without a colon, value_text is "" and float() fails
+                c, value = int(class_text), float(value_text)
+            except ValueError:
+                raise ValueError(f"line {line_no}: malformed entry {entry!r}, expected class:log10prob") from None
+            if not 0 <= c <= V:
+                raise ValueError(f"line {line_no}: class {c} out of range [0, {V}]")
+            if c <= previous:
+                problem = "repeated" if c == previous else "not in ascending order"
+                raise ValueError(f"line {line_no}: class {c} {problem}")
+            if not math.isfinite(value):
+                raise ValueError(f"line {line_no}: class {c} value {value_text!r} is not finite")
+            log_probs[t, c] = value
+            previous = c
+    return EmissionMatrix(log_probs=log_probs, unit_labels=unit_labels, blank_index=blank_index)

@@ -63,26 +63,25 @@ def _split_unit(label: str) -> tuple[str, str, str]:
 
 @lru_cache(maxsize=8)
 def confusion_map(alphabet: tuple[str, ...], policy: str) -> dict[str, tuple[int, ...]]:
-    """Unit label -> alphabet indexes of its confusable units."""
-    parts = {label: _split_unit(label) for label in alphabet}
+    """Unit label -> ascending alphabet indexes of its confusable units."""
+    if policy == "uniform":
+        return {label: tuple(i for i, other in enumerate(alphabet) if other != label) for label in alphabet}
+    parts = [_split_unit(label) for label in alphabet]
+    # Neighbours share a bucket: (initial, final) for tone-neighbor,
+    # (final, tone) for final-neighbor. Buckets fill in index order.
+    if policy == "tone-neighbor":
+        bucket_of = [(initial, final) for initial, final, _ in parts]
+    else:  # final-neighbor
+        bucket_of = [(final, tone) for _, final, tone in parts]
+    buckets: dict[tuple[str, str], list[int]] = {}
+    for i, bucket in enumerate(bucket_of):
+        buckets.setdefault(bucket, []).append(i)
     out: dict[str, tuple[int, ...]] = {}
-    for label in alphabet:
-        initial, final, tone = parts[label]
-        if policy == "uniform":
-            confusable = [i for i, other in enumerate(alphabet) if other != label]
-        elif policy == "tone-neighbor":
-            confusable = [
-                i
-                for i, other in enumerate(alphabet)
-                if other != label and tone and parts[other][:2] == (initial, final)
-            ]
-        else:  # final-neighbor
-            confusable = [
-                i
-                for i, other in enumerate(alphabet)
-                if other != label and parts[other][1] == final and parts[other][2] == tone
-                and parts[other][0] != initial
-            ]
+    for label, (initial, _, tone), bucket in zip(alphabet, parts, bucket_of):
+        if policy == "tone-neighbor":
+            confusable = [i for i in buckets[bucket] if alphabet[i] != label] if tone else []
+        else:
+            confusable = [i for i in buckets[bucket] if parts[i][0] != initial]
         out[label] = tuple(confusable)
     return out
 

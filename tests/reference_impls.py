@@ -8,6 +8,8 @@ a library path and its oracle agree, each vouches for the other.
 from functools import lru_cache
 from itertools import product
 
+from pinasr.pinyin import split_segment
+
 
 def recursive_edit_distance(ref, hyp) -> int:
     """Plain memoized Levenshtein recursion (distance only)."""
@@ -45,6 +47,32 @@ def naive_mapping_recount(pairs, n, tonal):
         "maximum": max(sizes),
         "pct_unique": 100.0 * sizes.count(1) / len(sizes),
     }
+
+
+def all_pairs_confusion_map(alphabet, policy):
+    """Confusable units by comparing every pair of labels: unit label ->
+    ascending alphabet indexes of the units it may be confused with."""
+    parts = {}
+    for label in alphabet:
+        tone = label[-1] if label[-1].isdigit() else ""
+        parts[label] = (*split_segment(label[:-1] if tone else label), tone)
+
+    out = {}
+    for label in alphabet:
+        initial, final, tone = parts[label]
+        confusable = []
+        for i, other in enumerate(alphabet):
+            o_initial, o_final, o_tone = parts[other]
+            if other == label:
+                continue
+            if (
+                policy == "uniform"
+                or (policy == "tone-neighbor" and tone and (o_initial, o_final) == (initial, final))
+                or (policy == "final-neighbor" and (o_final, o_tone) == (final, tone) and o_initial != initial)
+            ):
+                confusable.append(i)
+        out[label] = tuple(confusable)
+    return out
 
 
 def enumerate_ctc_distribution(emissions):

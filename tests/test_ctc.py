@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinasr.ctc import (
     DecoderConfig,
@@ -64,6 +65,20 @@ def test_emission_matrix_validation():
         EmissionMatrix(np.log10([[0.5, 0.5]]), ("a",), blank_index=2)
     with pytest.raises(ValueError, match="columns"):
         EmissionMatrix(np.log10([[0.5, 0.5]]), ("a", "b"), blank_index=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_emission_matrix_rejects_non_finite(bad):
+    grid = np.array([[0.0, NEG_INF], [math.log10(0.5), math.log10(0.5)]])
+    grid[1, 0] = bad
+    with pytest.raises(ValueError, match="frame 1 class 0"):
+        EmissionMatrix(grid, ("a",), blank_index=1)
+
+
+def test_emission_matrix_rejects_duplicate_labels():
+    with pytest.raises(ValueError, match="duplicate unit label 'a'"):
+        EmissionMatrix(np.log10([[0.25, 0.25, 0.5]]), ("a", "a"), blank_index=2)
 
 
 def test_greedy_one_hot():
@@ -179,6 +194,28 @@ def test_lm_weight_flips_ranking_at_threshold():
     assert prefix_beam_search(e, lm, config)[0][0] == ("a", "b")
 
 
+@pytest.mark.parametrize("width", [1, 3, 10**6])
+def test_beam_ties_follow_label_order_not_class_order(width):
+    # Class order (c, a, b) differs from label order, so ties must still
+    # break by the label strings, as the brute-force oracle does.
+    labels = ("c", "a", "b")
+    lm = train([["a", "b"], ["c"], ["b", "c", "a"]], order=2, discount=0.5, vocabulary=labels)
+    uniform = [EmissionMatrix(np.full((T, 4), math.log10(0.25)), labels, blank_index=3) for T in (1, 2, 3, 4)]
+    one_hot = [one_hot_emissions(frames, V=3, labels=labels) for frames in ([0, 3, 1], [2, 0, 3, 0], [3, 1, 2])]
+    for e in uniform + one_hot:
+        for model, alpha, beta in ((None, 0.0, 0.0), (None, 0.0, 0.3), (lm, 0.5, 0.1)):
+            config = DecoderConfig(beam_width=width, lm_weight=alpha, insertion_bonus=beta)
+            got = prefix_beam_search(e, model, config)
+            assert [score for _, score in got] == sorted((score for _, score in got), reverse=True)
+            if width < 10**6:
+                continue
+            want_labels, want_score = brute_force_decode(e, model, alpha, beta)
+            assert got[0][0] == want_labels
+            assert got[0][1] == pytest.approx(want_score, abs=1e-9)
+    top = prefix_beam_search(uniform[0], None, DecoderConfig(beam_width=width))
+    assert [units for units, _ in top] == [(), ("a",), ("b",), ("c",)][:width]
+
+
 def test_vocabulary_mismatch_raised(fusion_lm):
     e = one_hot_emissions([0], V=2, labels=("a", "zz"))
     with pytest.raises(VocabularyMismatch):
@@ -233,3 +270,78 @@ def test_emission_file_handles_neg_inf():
 def test_emission_file_rejects_bad_header():
     with pytest.raises(ValueError):
         read_emissions(io.StringIO("1 2\nx y\n0 0 0\n"))
+
+
+HALF = repr(math.log10(0.5))
+
+
+def em_text(*rows):
+    return "\n".join(["1 1 1", "a", *rows]) + "\n"
+
+
+def test_emission_file_is_sparse():
+    e = one_hot_emissions([0, 2], V=2)
+    buf = io.StringIO()
+    write_emissions(e, buf)
+    assert buf.getvalue() == "2 2 2\na b\n0:0.0\n2:0.0\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_emission_file_round_trip_property(data):
+    T, V = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8))
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    row = st.lists(weight, min_size=V + 1, max_size=V + 1).filter(lambda w: sum(w) > 0)
+    weights = np.array(data.draw(st.lists(row, min_size=T, max_size=T)))
+    with np.errstate(divide="ignore"):
+        grid = np.log10(weights / weights.sum(axis=1, keepdims=True))
+    labels = data.draw(st.lists(
+        st.text("abz019:", min_size=1, max_size=3), min_size=V, max_size=V, unique=True
+    ))
+    e = EmissionMatrix(grid, tuple(labels), blank_index=data.draw(st.integers(0, V)))
+    first = io.StringIO()
+    write_emissions(e, first)
+    back = read_emissions(io.StringIO(first.getvalue()))
+    assert np.array_equal(back.log_probs, e.log_probs)
+    assert (back.unit_labels, back.blank_index) == (e.unit_labels, e.blank_index)
+    second = io.StringIO()
+    write_emissions(back, second)
+    assert second.getvalue() == first.getvalue()
+
+
+def test_read_emissions_rejects_rows_past_declared_frames():
+    with pytest.raises(ValueError, match="line 4: .*1 frames"):
+        read_emissions(io.StringIO(em_text(f"0:{HALF} 1:{HALF}", "1:0.0")))
+
+
+@pytest.mark.parametrize("row", [
+    f"0{HALF} 1:{HALF}",
+    f"zero:{HALF} 1:{HALF}",
+    f"0:{HALF} 1:half",
+    f"{HALF} {HALF}",  # a dense row from an earlier version
+])
+def test_read_emissions_rejects_malformed_entry(row):
+    with pytest.raises(ValueError, match="line 3: malformed entry"):
+        read_emissions(io.StringIO(em_text(row)))
+
+
+@pytest.mark.parametrize("row", [f"0:{HALF} 2:{HALF}", f"-1:{HALF} 1:{HALF}"])
+def test_read_emissions_rejects_class_out_of_range(row):
+    with pytest.raises(ValueError, match="line 3: class -?[12] out of range"):
+        read_emissions(io.StringIO(em_text(row)))
+
+
+def test_read_emissions_rejects_repeated_class():
+    with pytest.raises(ValueError, match="line 3: class 0 repeated"):
+        read_emissions(io.StringIO(em_text(f"0:{HALF} 0:{HALF}")))
+
+
+def test_read_emissions_rejects_descending_classes():
+    with pytest.raises(ValueError, match="line 3: class 0 .*ascending"):
+        read_emissions(io.StringIO(em_text(f"1:{HALF} 0:{HALF}")))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_emissions_rejects_non_finite_value(value):
+    with pytest.raises(ValueError, match="line 3: class 0 value"):
+        read_emissions(io.StringIO(em_text(f"0:{value} 1:0.0")))

@@ -10,6 +10,7 @@ from pinasr.corpus import build_parallel
 from pinasr.ctc import greedy_decode, sequence_logprob
 from pinasr.pinyin import InvalidSyllable
 from pinasr.simulate import POLICIES, SimConfig, confusion_map, synth_emissions
+from reference_impls import all_pairs_confusion_map
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
 
@@ -93,6 +94,14 @@ def test_confusion_map_policies():
     toneless = confusion_map(("ma", "gu", "zhong", "chong"), "final-neighbor")
     assert toneless["zhong"] == (3,)  # chong shares the final
     assert confusion_map(("ma", "gu"), "tone-neighbor")["ma"] == ()
+
+
+@pytest.mark.parametrize("tonal", [True, False])
+def test_confusion_map_matches_all_pairs_definition(tonal):
+    inventory = assets.default_inventory()
+    alphabet = tuple(sorted(inventory.tonal_units if tonal else inventory.toneless_units))
+    for policy in POLICIES:
+        assert confusion_map(alphabet, policy) == all_pairs_confusion_map(alphabet, policy), policy
 
 
 def test_greedy_exact_below_pinned_temperature():
