@@ -20,11 +20,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pinasr import assets
-from pinasr.cli import PipelineConfig, cmd_pipeline
-from pinasr.corpus import build_parallel
+from pinasr.cli import Pipeline, PipelineConfig, run_pipeline
 from pinasr.ctc import greedy_decode
-from pinasr.simulate import SimConfig, synth_emissions
 
 SEED = 12345
 TEMPERATURE = 2.5
@@ -32,68 +29,43 @@ LM_WEIGHT = 0.3
 
 
 def greedy_exactness(temperatures):
-    inventory = assets.default_inventory()
-    lexicon = assets.default_lexicon()
-    alphabet = tuple(sorted(inventory.tonal_units))
-    pairs = build_parallel(assets.read_sentences("corpus_heldout.txt"), lexicon, "heldout")
+    pipe = Pipeline(PipelineConfig())
+    utterances = [units for _, units in pipe.utterances("", "corpus_heldout.txt", "heldout")]
     results = {}
     for tau in temperatures:
-        wrong = 0
-        for index, (_, pinyin) in enumerate(pairs.pairs):
-            units = [str(s) for s in pinyin]
-            sim = SimConfig(
-                frames_per_unit=3,
-                confusion_temperature=tau,
-                confusion_policy="tone-neighbor",
-                seed=SEED + index,
-            )
-            if greedy_decode(synth_emissions(units, alphabet, sim)) != units:
-                wrong += 1
+        noisy = Pipeline(PipelineConfig(temperature=tau, seed=SEED))
+        wrong = sum(greedy_decode(noisy.synthesize(units, i)) != units for i, units in enumerate(utterances))
         results[tau] = wrong
-        print(f"greedy tau={tau}: {wrong}/{len(pairs.pairs)} utterances wrong")
+        print(f"greedy tau={tau}: {wrong}/{len(utterances)} utterances wrong")
     exact = [t for t, w in results.items() if w == 0]
     print(f"greedy exact up to tau={max(exact) if exact else None}")
     return results
 
 
-def pipeline_point(out_root: Path):
+def pipeline_point():
     rows = {}
     for mode, policy in (("tonal", "tone-neighbor"), ("toneless", "final-neighbor")):
         for use_lm in (True, False):
             tag = f"{mode}_{'lm' if use_lm else 'nolm'}"
-            out_dir = out_root / tag
-            config = PipelineConfig(
-                unit_mode=mode,
-                confusion_policy=policy,
-                temperature=TEMPERATURE,
-                lm_weight=LM_WEIGHT,
-                use_pinyin_lm=use_lm,
-                seed=SEED,
-                out_dir=str(out_dir),
-            )
-            code = cmd_pipeline(config)
-            assert code == 0, f"pipeline failed for {tag}"
-            report = dict(
-                line.split("\t")
-                for line in (out_dir / "report.tsv").read_text(encoding="utf-8").splitlines()
-            )
-            rows[tag] = {
-                k: float(v) for k, v in report.items() if k in ("uer", "uer_tone_stripped", "cer")
-            }
+            result = run_pipeline(PipelineConfig(
+                unit_mode=mode, confusion_policy=policy, temperature=TEMPERATURE,
+                lm_weight=LM_WEIGHT, use_pinyin_lm=use_lm, seed=SEED,
+            ))
+            # Rounded as report.tsv prints them, to the precision pinned.json holds.
+            rows[tag] = {name: round(report.error_rate, 6) for name, report in result.scores.items()}
             print(tag, rows[tag])
     return rows
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="/tmp/pinasr_sweep", help="scratch directory for reports")
     parser.add_argument(
         "--greedy-grid", default="0.2,0.4,0.6,0.8,1.0,1.2,1.4,1.6",
         help="comma-separated temperatures for the greedy sweep",
     )
     args = parser.parse_args()
     greedy = greedy_exactness([float(t) for t in args.greedy_grid.split(",")])
-    rows = pipeline_point(Path(args.out))
+    rows = pipeline_point()
     pinned = {
         "seed": SEED,
         "temperature": TEMPERATURE,

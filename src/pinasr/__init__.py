@@ -14,7 +14,6 @@ from .corpus import ParallelCorpus, build_parallel, filter_sentences
 from .ctc import (
     DecoderConfig,
     EmissionMatrix,
-    brute_force_decode,
     collapse_alignment,
     greedy_decode,
     prefix_beam_search,

@@ -1,6 +1,9 @@
 """Command-line front end: the full recognition→transcription pipeline and
 each stage as its own subcommand.
 
+Every stage-running command goes through one core: :class:`Pipeline` checks the
+config, loads assets and fixes the unit alphabet once; :func:`run_pipeline` runs the stages.
+
 Configuration is a flat ``key=value`` text file; every key can also be set
 on the command line (``--beam-width 16`` overrides ``beam_width=8``). All
 randomness derives from the single ``seed`` key. Exit codes: 0 success,
@@ -15,12 +18,14 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import ambiguity, assets, metrics, ngram_lm, transcriber
 from .corpus import EmptyCorpus, build_parallel, filter_sentences, read_parallel_tsv
-from .ctc import DecoderConfig, prefix_beam_search, read_emissions, write_emissions
+from .ctc import DecoderConfig, EmissionMatrix, prefix_beam_search, read_emissions, write_emissions
+from .ngram_lm import NGramModel
 from .pinyin import PronunciationLexicon, SyllableInventory
 from .simulate import POLICIES, SimConfig, synth_emissions
 
@@ -100,9 +105,12 @@ def config_hash(config: PipelineConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def atomic_write(path: Path, text: str) -> None:
+@contextmanager
+def atomic_open(path: Path):
+    """Write ``path`` through a temporary file, so no reader sees it half-written."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
     os.replace(tmp, path)
 
 
@@ -125,185 +133,190 @@ def _existing(path: str) -> Path:
     return p
 
 
-def _read_sentence_file(path: str, default_name: str) -> list[str]:
-    if path:
-        text = _existing(path).read_text(encoding="utf-8")
-        return [line for line in text.splitlines() if line.strip()]
-    return assets.read_sentences(default_name)
+def _read_lines(path: str, default_sentences: str = "") -> list[str]:
+    """The non-blank lines of ``path``, or with no path of bundled ``default_sentences``."""
+    if default_sentences and not path:
+        return assets.read_sentences(default_sentences)
+    return [line for line in _existing(path).read_text(encoding="utf-8").splitlines() if line.strip()]
 
 
-def _units_of(pinyin, tonal: bool) -> list[str]:
-    return [str(s) if tonal else s.segment for s in pinyin]
+def _read_arpa(path: str) -> NGramModel:
+    with open(_existing(path), encoding="utf-8") as fh:
+        return ngram_lm.read_arpa(fh)
 
 
-def _train_unit_lm(config: PipelineConfig, pairs, alphabet, tonal: bool):
-    corpus = [_units_of(pinyin, tonal) for _, pinyin in pairs]
-    return ngram_lm.train(
-        corpus, order=config.pinyin_lm_order, discount=config.lm_discount, vocabulary=alphabet
-    )
+def decoder_config(config: PipelineConfig) -> DecoderConfig:
+    """The beam settings: the config keys named like DecoderConfig's fields."""
+    return DecoderConfig(**{f.name: getattr(config, f.name) for f in dataclasses.fields(DecoderConfig)})
 
 
-def _train_char_lm(config: PipelineConfig, pairs):
-    corpus = [list(hanzi) for hanzi, _ in pairs]
-    return ngram_lm.train(
-        corpus, order=config.char_lm_order, discount=config.lm_discount, min_count=config.min_count
-    )
+def _ref_lines(utterances) -> list[str]:
+    """The lines of the refs.tsv that synth writes beside its emission files."""
+    return [f"utt_{i:04d}\t{hanzi}\t{' '.join(units)}" for i, (hanzi, units) in enumerate(utterances)]
 
 
-def cmd_pipeline(config: PipelineConfig) -> int:
-    inventory = _load_inventory(config)
-    lexicon = _load_lexicon(config, inventory)
-    tonal = config.unit_mode == "tonal"
-    if config.unit_mode not in ("tonal", "toneless"):
-        raise ConfigError(f"unit_mode must be tonal or toneless, got {config.unit_mode!r}")
-    if config.confusion_policy not in POLICIES:
-        raise ConfigError(f"confusion_policy must be one of {POLICIES}")
+class Pipeline:
+    """One configuration's stages: the config is checked, the assets loaded
+    and the unit alphabet fixed once, then used for every utterance."""
 
-    train_sentences = _read_sentence_file(config.train_corpus, "corpus_train.txt")
-    eval_sentences = _read_sentence_file(config.eval_corpus, "corpus_heldout.txt")
-    train_pairs = build_parallel(
-        filter_sentences(train_sentences, config.min_len, config.max_len).sentences, lexicon, "train"
-    )
-    eval_pairs = build_parallel(
-        filter_sentences(eval_sentences, config.min_len, config.max_len).sentences, lexicon, "eval"
-    )
-    if not eval_pairs.pairs:
+    def __init__(self, config: PipelineConfig):
+        if config.unit_mode not in ("tonal", "toneless"):
+            raise ConfigError(f"unit_mode must be tonal or toneless, got {config.unit_mode!r}")
+        if config.confusion_policy not in POLICIES:
+            raise ConfigError(f"confusion_policy must be one of {POLICIES}")
+        self.config = config
+        self.tonal = config.unit_mode == "tonal"
+        self.inventory = _load_inventory(config)
+        self.lexicon = _load_lexicon(config, self.inventory)
+        self.alphabet = tuple(sorted(self.inventory.tonal_units if self.tonal else self.inventory.toneless_units))
+
+    def units(self, pinyin) -> list[str]:
+        """The unit labels of a syllable sequence: tonal syllables or their segments."""
+        return [str(s) if self.tonal else s.segment for s in pinyin]
+
+    def utterances(self, path: str, default_name: str, name: str) -> list[tuple[str, list[str]]]:
+        """(Hanzi, units) of each sentence within the length bounds in a
+        sentence file; an empty path reads the bundled ``default_name``."""
+        c = self.config
+        sentences = filter_sentences(_read_lines(path, default_name), c.min_len, c.max_len)
+        return [(h, self.units(p)) for h, p in build_parallel(sentences.sentences, self.lexicon, name).pairs]
+
+    def synthesize(self, units: list[str], index: int) -> EmissionMatrix:
+        """The emissions of utterance ``index``, seeded by ``seed + index``."""
+        c = self.config
+        sim = SimConfig(frames_per_unit=c.frames_per_unit, blank_fill=c.blank_fill,
+                        confusion_temperature=c.temperature, confusion_policy=c.confusion_policy,
+                        seed=c.seed + index)
+        return synth_emissions(units, self.alphabet, sim)
+
+    def lm(self, path: str, corpus, order: int, vocabulary=None) -> NGramModel:
+        """The ARPA model at ``path``; with no path, one trained on ``corpus``."""
+        if path:
+            return _read_arpa(path)
+        return ngram_lm.train(corpus, order, self.config.lm_discount, self.config.min_count, vocabulary)
+
+    def transcribe(self, units: list[str], char_lm: NGramModel, lenient: bool = True):
+        """The best Hanzi reading; a strict lattice raises NoCandidate where
+        a lenient one falls back (see transcriber.build_lattice_lenient)."""
+        build = transcriber.build_lattice_lenient if lenient else transcriber.build_lattice
+        lattice = build(units, self.lexicon, tonal=self.tonal)
+        c = self.config
+        return transcriber.beam_transcribe(lattice, char_lm, c.channel_weight, c.transcriber_beam)[0]
+
+
+@dataclass
+class PipelineResult:
+    """Hypotheses and scores of a pipeline run, in eval-corpus order."""
+
+    unit_lm_on: bool   # a unit LM was fused into the beam
+    hyp_units: list[list[str]]
+    transcripts: list[tuple[str, float]]   # (Hanzi, total score) of the best reading
+    scores: dict[str, metrics.ScoreReport]   # uer, uer_tone_stripped (tonal units only), cer
+
+
+def _check_refs(path: Path, utterances) -> None:
+    """Fail unless synth's refs.tsv lists exactly these utterances, in order,
+    so ingested emissions are scored against their own references."""
+    if not path.exists():
+        raise ValueError(f"{path}: not found; --emissions-dir needs the refs.tsv that synth writes")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    want = _ref_lines(utterances)
+    for lineno, (line, ref) in enumerate(zip(lines, want), 1):
+        if line != ref:
+            raise ValueError(f"{path}:{lineno}: {line!r} does not match eval utterance {ref!r}")
+    if len(lines) != len(want):
+        raise ValueError(f"{path}: {len(lines)} references for {len(want)} eval utterances")
+
+
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
+    """Synthesize (or ingest), decode, transcribe and score every eval
+    utterance. A failing utterance raises ValueError naming its stage."""
+    pipe = Pipeline(config)
+    train = pipe.utterances(config.train_corpus, "corpus_train.txt", "train")
+    evals = pipe.utterances(config.eval_corpus, "corpus_heldout.txt", "eval")
+    if not evals:
         raise ConfigError("evaluation corpus is empty after filtering")
-
-    alphabet = tuple(sorted(inventory.tonal_units if tonal else inventory.toneless_units))
-
+    if config.emissions_dir:
+        _check_refs(Path(config.emissions_dir) / "refs.tsv", evals)
     unit_lm = None
     if config.use_pinyin_lm:
-        if config.pinyin_lm:
-            with open(_existing(config.pinyin_lm), encoding="utf-8") as fh:
-                unit_lm = ngram_lm.read_arpa(fh)
-        else:
-            unit_lm = _train_unit_lm(config, train_pairs.pairs, alphabet, tonal)
-    if config.char_lm:
-        with open(_existing(config.char_lm), encoding="utf-8") as fh:
-            char_lm = ngram_lm.read_arpa(fh)
-    else:
-        char_lm = _train_char_lm(config, train_pairs.pairs)
+        unit_lm = pipe.lm(config.pinyin_lm, [u for _, u in train], config.pinyin_lm_order, pipe.alphabet)
+    char_lm = pipe.lm(config.char_lm, [list(h) for h, _ in train], config.char_lm_order)
 
-    decoder_config = DecoderConfig(
-        beam_width=config.beam_width,
-        lm_weight=config.lm_weight,
-        insertion_bonus=config.insertion_bonus,
-        prune_threshold=config.prune_threshold,
-    )
-
-    ref_units: list[list[str]] = []
-    hyp_units: list[list[str]] = []
-    ref_chars: list[list[str]] = []
-    hyp_chars: list[list[str]] = []
-    transcripts: list[tuple[str, float]] = []
-
-    for index, (hanzi, pinyin) in enumerate(eval_pairs.pairs):
-        units = _units_of(pinyin, tonal)
+    decoder = decoder_config(config)
+    hyp_units, transcripts = [], []
+    for index, (_, units) in enumerate(evals):
         stage = "synthesize"
         try:
             if config.emissions_dir:
                 with open(Path(config.emissions_dir) / f"utt_{index:04d}.em", encoding="utf-8") as fh:
                     emissions = read_emissions(fh)
             else:
-                sim = SimConfig(
-                    frames_per_unit=config.frames_per_unit,
-                    blank_fill=config.blank_fill,
-                    confusion_temperature=config.temperature,
-                    confusion_policy=config.confusion_policy,
-                    seed=config.seed + index,
-                )
-                emissions = synth_emissions(units, alphabet, sim)
+                emissions = pipe.synthesize(units, index)
             stage = "decode"
-            decoded = prefix_beam_search(emissions, unit_lm, decoder_config)
-            hyp = list(decoded[0][0])
+            hyp = list(prefix_beam_search(emissions, unit_lm, decoder)[0][0])
             stage = "transcribe"
-            lattice = transcriber.build_lattice_lenient(hyp, lexicon, tonal=tonal)
-            best = transcriber.beam_transcribe(
-                lattice, char_lm, config.channel_weight, config.transcriber_beam
-            )[0]
-        except Exception as exc:
-            print(f"stage={stage} utt={index}: {exc}", file=sys.stderr)
-            return 1
-        ref_units.append(units)
+            best = pipe.transcribe(hyp, char_lm)
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"stage={stage} utt={index}: {exc}") from exc
         hyp_units.append(hyp)
-        ref_chars.append(list(hanzi))
-        hyp_chars.append(list(best.hanzi))
-        transcripts.append((best.hanzi, best.total_score))
+        transcripts.append((best.hanzi, best.total_score))   # its n-best list, kept per utterance, costs memory
 
-    uer = metrics.error_rate(ref_units, hyp_units)
-    cer = metrics.error_rate(ref_chars, hyp_chars)
-    stripped = (
-        metrics.tone_stripped_rescore(ref_units, hyp_units, inventory) if tonal else None
-    )
+    ref_units = [units for _, units in evals]
+    scores = {"uer": metrics.error_rate(ref_units, hyp_units)}
+    if pipe.tonal:
+        scores["uer_tone_stripped"] = metrics.tone_stripped_rescore(ref_units, hyp_units, pipe.inventory)
+    scores["cer"] = metrics.error_rate([list(h) for h, _ in evals], [list(hanzi) for hanzi, _ in transcripts])
+    return PipelineResult(unit_lm is not None, hyp_units, transcripts, scores)
 
+
+def write_report(config: PipelineConfig, result: PipelineResult) -> list[str]:
+    """Write report.tsv, hyps.tsv, units.tsv and detail.jsonl into
+    ``config.out_dir``; returns the lines of report.tsv."""
+    lines = [
+        f"config_hash\t{config_hash(config)}",
+        f"utterances\t{len(result.transcripts)}",
+        f"unit_mode\t{config.unit_mode}",
+        f"pinyin_lm\t{'on' if result.unit_lm_on else 'off'}",
+    ] + [f"{name}\t{report.error_rate:.6f}" for name, report in result.scores.items()]
+    detail = [
+        json.dumps({"utt": u.index, "uer": u.__dict__, "cer": c.__dict__}, ensure_ascii=False, sort_keys=True)
+        for u, c in zip(result.scores["uer"].per_utterance, result.scores["cer"].per_utterance)
+    ]
+    files = {
+        "report.tsv": "\n".join(lines) + "\n",
+        "hyps.tsv": "".join(f"{hanzi}\t{score:.6f}\n" for hanzi, score in result.transcripts),
+        "units.tsv": "".join(f"utt_{i:04d}\t{' '.join(h)}\n" for i, h in enumerate(result.hyp_units)),
+        "detail.jsonl": "\n".join(detail) + "\n",
+    }
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = config_hash(config)
-    lines = [
-        f"config_hash\t{digest}",
-        f"utterances\t{len(eval_pairs.pairs)}",
-        f"unit_mode\t{config.unit_mode}",
-        f"pinyin_lm\t{'on' if unit_lm is not None else 'off'}",
-        f"uer\t{uer.error_rate:.6f}",
-    ]
-    if stripped is not None:
-        lines.append(f"uer_tone_stripped\t{stripped.error_rate:.6f}")
-    lines.append(f"cer\t{cer.error_rate:.6f}")
-    atomic_write(out_dir / "report.tsv", "\n".join(lines) + "\n")
-    atomic_write(
-        out_dir / "hyps.tsv",
-        "".join(f"{hanzi}\t{score:.6f}\n" for hanzi, score in transcripts),
-    )
-    atomic_write(
-        out_dir / "units.tsv",
-        "".join(f"utt_{i:04d}\t{' '.join(h)}\n" for i, h in enumerate(hyp_units)),
-    )
-    detail_lines = []
-    for utt_uer, utt_cer in zip(uer.per_utterance, cer.per_utterance):
-        detail_lines.append(
-            json.dumps(
-                {"utt": utt_uer.index, "uer": utt_uer.__dict__, "cer": utt_cer.__dict__},
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-        )
-    atomic_write(out_dir / "detail.jsonl", "\n".join(detail_lines) + "\n")
-    for line in lines:
+    for name, text in files.items():
+        with atomic_open(out_dir / name) as fh:
+            fh.write(text)
+    return lines
+
+
+def cmd_pipeline(config: PipelineConfig) -> int:
+    for line in write_report(config, run_pipeline(config)):
         print(line.replace("\t", "  "))
     return 0
 
 
-def cmd_synth(config: PipelineConfig) -> int:
-    inventory = _load_inventory(config)
-    lexicon = _load_lexicon(config, inventory)
-    tonal = config.unit_mode == "tonal"
-    sentences = _read_sentence_file(config.eval_corpus, "corpus_heldout.txt")
-    pairs = build_parallel(
-        filter_sentences(sentences, config.min_len, config.max_len).sentences, lexicon, "synth"
-    )
-    alphabet = tuple(sorted(inventory.tonal_units if tonal else inventory.toneless_units))
+def cmd_synth(args, config: PipelineConfig) -> int:
+    pipe = Pipeline(config)
+    utterances = pipe.utterances(config.eval_corpus, "corpus_heldout.txt", "synth")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ref_lines = []
-    for index, (hanzi, pinyin) in enumerate(pairs.pairs):
-        units = _units_of(pinyin, tonal)
-        sim = SimConfig(
-            frames_per_unit=config.frames_per_unit,
-            blank_fill=config.blank_fill,
-            confusion_temperature=config.temperature,
-            confusion_policy=config.confusion_policy,
-            seed=config.seed + index,
-        )
-        emissions = synth_emissions(units, alphabet, sim)
-        path = out_dir / f"utt_{index:04d}.em"
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
+    for index, (_, units) in enumerate(utterances):
+        # Bound to a name, so the previous matrix is freed only after this one is
+        # built: freeing it first made synth about a quarter slower (pages re-faulted).
+        emissions = pipe.synthesize(units, index)
+        with atomic_open(out_dir / f"utt_{index:04d}.em") as fh:
             write_emissions(emissions, fh)
-        os.replace(tmp, path)
-        ref_lines.append(f"utt_{index:04d}\t{hanzi}\t{' '.join(units)}")
-    atomic_write(out_dir / "refs.tsv", "\n".join(ref_lines) + "\n")
-    print(f"wrote {len(pairs.pairs)} emission files to {out_dir}")
+    with atomic_open(out_dir / "refs.tsv") as fh:
+        fh.write("\n".join(_ref_lines(utterances)) + "\n")
+    print(f"wrote {len(utterances)} emission files to {out_dir}")
     return 0
 
 
@@ -312,33 +325,15 @@ def cmd_train_lm(args, config: PipelineConfig) -> int:
         raise ConfigError(f"order must be in [1, {ngram_lm.MAX_ORDER}], got {args.order}")
     if not 0.0 < args.discount < 1.0:
         raise ConfigError(f"discount must be in (0, 1), got {args.discount}")
-    sentences = [
-        line
-        for line in _existing(args.corpus).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    if args.unit == "char":
-        corpus = [list(s) for s in sentences]
-        vocabulary = None
-    else:
-        inventory = _load_inventory(config)
-        lexicon = _load_lexicon(config, inventory)
-        pairs = build_parallel(sentences, lexicon, "train-lm")
-        tonal = args.unit == "pinyin"
-        corpus = [_units_of(pinyin, tonal) for _, pinyin in pairs.pairs]
-        vocabulary = sorted(inventory.tonal_units if tonal else inventory.toneless_units)
-    model = ngram_lm.train(
-        corpus,
-        order=args.order,
-        discount=args.discount,
-        min_count=config.min_count,
-        vocabulary=vocabulary,
-    )
-    out = Path(args.out)
-    tmp = out.with_name(out.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    sentences = _read_lines(args.corpus)
+    corpus, vocabulary = [list(s) for s in sentences], None
+    if args.unit != "char":
+        pipe = Pipeline(dataclasses.replace(config, unit_mode="tonal" if args.unit == "pinyin" else "toneless"))
+        pairs = build_parallel(sentences, pipe.lexicon, "train-lm").pairs
+        corpus, vocabulary = [pipe.units(pinyin) for _, pinyin in pairs], pipe.alphabet
+    model = ngram_lm.train(corpus, args.order, args.discount, config.min_count, vocabulary=vocabulary)
+    with atomic_open(Path(args.out)) as fh:
         ngram_lm.write_arpa(model, fh)
-    os.replace(tmp, out)
     per_order = [0] * model.order
     for gram in model.prob_table:
         per_order[len(gram) - 1] += 1
@@ -349,16 +344,8 @@ def cmd_train_lm(args, config: PipelineConfig) -> int:
 
 
 def cmd_decode(args, config: PipelineConfig) -> int:
-    lm = None
-    if args.lm:
-        with open(_existing(args.lm), encoding="utf-8") as fh:
-            lm = ngram_lm.read_arpa(fh)
-    decoder_config = DecoderConfig(
-        beam_width=config.beam_width,
-        lm_weight=config.lm_weight,
-        insertion_bonus=config.insertion_bonus,
-        prune_threshold=config.prune_threshold,
-    )
+    lm = _read_arpa(args.lm) if args.lm else None
+    decoder = decoder_config(config)
     source = Path(args.emissions)
     files = sorted(source.glob("*.em")) if source.is_dir() else [_existing(args.emissions)]
     if not files:
@@ -367,28 +354,18 @@ def cmd_decode(args, config: PipelineConfig) -> int:
     for path in files:
         with open(path, encoding="utf-8") as fh:
             emissions = read_emissions(fh)
-        results = prefix_beam_search(emissions, lm, decoder_config)
-        units, score = results[0]
+        units, score = prefix_beam_search(emissions, lm, decoder)[0]
         print(f"{path.stem}\t{' '.join(units)}\t{score:.6f}")
     return 0
 
 
 def cmd_transcribe(args, config: PipelineConfig) -> int:
-    inventory = _load_inventory(config)
-    lexicon = _load_lexicon(config, inventory)
+    pipe = Pipeline(config)
     if not config.char_lm:
         raise ConfigError("transcribe needs --char-lm (an ARPA character LM)")
-    with open(_existing(config.char_lm), encoding="utf-8") as fh:
-        char_lm = ngram_lm.read_arpa(fh)
-    tonal = config.unit_mode == "tonal"
-    for line in _existing(args.input).read_text(encoding="utf-8").splitlines():
-        units = line.split()
-        if not units:
-            continue
-        lattice = transcriber.build_lattice(units, lexicon, tonal=tonal)
-        best = transcriber.beam_transcribe(
-            lattice, char_lm, config.channel_weight, config.transcriber_beam
-        )[0]
+    char_lm = _read_arpa(config.char_lm)
+    for line in _read_lines(args.input):
+        best = pipe.transcribe(line.split(), char_lm, lenient=False)
         print(f"{best.hanzi}\t{best.total_score:.6f}")
     return 0
 
@@ -400,7 +377,7 @@ def cmd_stats(args, config: PipelineConfig) -> int:
             corpus = read_parallel_tsv(fh, inventory)
     else:
         lexicon = _load_lexicon(config, inventory)
-        sentences = _read_sentence_file(args.corpus, "corpus_toy20.txt")
+        sentences = _read_lines(args.corpus, "corpus_toy20.txt")
         corpus = build_parallel(sentences, lexicon, "stats")
     report = ambiguity.stats_report(corpus, args.n_max)
     print(ambiguity.render_tsv(report), end="")
@@ -431,6 +408,12 @@ def cmd_validate_assets() -> int:
     report = assets.validate_assets()
     print(report.render(), end="")
     return 0 if report.ok else 1
+
+
+COMMANDS = {
+    "synth": cmd_synth, "train-lm": cmd_train_lm, "decode": cmd_decode,
+    "transcribe": cmd_transcribe, "stats": cmd_stats, "score": cmd_score,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,19 +494,7 @@ def main(argv=None) -> int:
         config = make_config(args)
         if args.command == "pipeline":
             return cmd_pipeline(config)
-        if args.command == "synth":
-            return cmd_synth(config)
-        if args.command == "train-lm":
-            return cmd_train_lm(args, config)
-        if args.command == "decode":
-            return cmd_decode(args, config)
-        if args.command == "transcribe":
-            return cmd_transcribe(args, config)
-        if args.command == "stats":
-            return cmd_stats(args, config)
-        if args.command == "score":
-            return cmd_score(args, config)
-        raise AssertionError(f"unhandled command {args.command}")
+        return COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

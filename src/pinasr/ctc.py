@@ -1,9 +1,10 @@
 """Lexicon-free CTC decoding over unit emissions.
 
 Greedy decode, prefix beam search with shallow n-gram LM fusion, the
-forward-algorithm sequence probability, and a brute-force oracle for small
-instances. Every modeling unit is its own decoding token (the "dummy
-lexicon" view), so no word lexicon is involved anywhere.
+forward-algorithm sequence probability, and the ``.em`` emission files
+(the brute-force oracle for small instances is in tests/reference_impls.py).
+Every modeling unit is its own decoding token (the "dummy lexicon" view),
+so no word lexicon is involved anywhere.
 
 All scores are log10, matching the emission file format and the language
 model. Fusion follows the usual shallow form: the ranking score of a
@@ -21,7 +22,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,10 +39,6 @@ class InfeasibleLength(ValueError):
 
 class VocabularyMismatch(ValueError):
     """The fusion LM does not cover the emission unit alphabet."""
-
-
-class InstanceTooLarge(ValueError):
-    """Brute-force enumeration guard: the instance exceeds desk scale."""
 
 
 def log10addexp(a: float, b: float) -> float:
@@ -304,41 +300,6 @@ def prefix_beam_search(
 
     # The beam is already ranked best first.
     return [(tuple(labels[u] for u in prefix), fused(prefix, masses)) for prefix, masses in beam.items()]
-
-
-def brute_force_decode(
-    emissions: EmissionMatrix,
-    lm: NGramModel | None = None,
-    lm_weight: float = 0.5,
-    insertion_bonus: float = 0.0,
-) -> tuple[tuple[str, ...], float]:
-    """Exact argmax of the fused score over every feasible label sequence.
-
-    Test oracle only: enumerates all sequences up to length T, so the
-    instance must satisfy T <= 8 and V <= 5.
-    """
-    T, V = emissions.num_frames, emissions.num_units
-    if T > 8 or V > 5:
-        raise InstanceTooLarge(f"T={T}, V={V} exceeds the T<=8, V<=5 oracle guard")
-    alpha = lm_weight if lm is not None else 0.0
-    beta = insertion_bonus
-
-    best_labels: tuple[str, ...] | None = None
-    best_score = NEG_INF
-    for length in range(0, T + 1):
-        for combo in product(range(V), repeat=length):
-            if min_frames_required(combo) > T:
-                continue
-            labels = tuple(emissions.unit_labels[u] for u in combo)
-            score = sequence_logprob(emissions, labels)
-            if alpha != 0.0:
-                score += alpha * lm.score_sequence(labels, include_eos=False)
-            score += beta * length
-            if best_labels is None or score > best_score or (score == best_score and labels < best_labels):
-                best_labels = labels
-                best_score = score
-    assert best_labels is not None
-    return best_labels, best_score
 
 
 def write_emissions(emissions: EmissionMatrix, sink) -> None:

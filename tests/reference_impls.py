@@ -8,6 +8,8 @@ a library path and its oracle agree, each vouches for the other.
 from functools import lru_cache
 from itertools import product
 
+from pinasr.ctc import NEG_INF, EmissionMatrix, min_frames_required, sequence_logprob
+from pinasr.ngram_lm import NGramModel
 from pinasr.pinyin import split_segment
 
 
@@ -162,3 +164,42 @@ def arpa_perplexity(text, order, corpus):
             context = context + (mapped,)
         denom += len(sentence) + 1
     return 10.0 ** (-total / denom)
+
+
+class InstanceTooLarge(ValueError):
+    """Brute-force enumeration guard: the instance exceeds desk scale."""
+
+
+def brute_force_decode(
+    emissions: EmissionMatrix,
+    lm: NGramModel | None = None,
+    lm_weight: float = 0.5,
+    insertion_bonus: float = 0.0,
+) -> tuple[tuple[str, ...], float]:
+    """Exact argmax of the fused score over every feasible label sequence.
+
+    Test oracle only: enumerates all sequences up to length T, so the
+    instance must satisfy T <= 8 and V <= 5.
+    """
+    T, V = emissions.num_frames, emissions.num_units
+    if T > 8 or V > 5:
+        raise InstanceTooLarge(f"T={T}, V={V} exceeds the T<=8, V<=5 oracle guard")
+    alpha = lm_weight if lm is not None else 0.0
+    beta = insertion_bonus
+
+    best_labels: tuple[str, ...] | None = None
+    best_score = NEG_INF
+    for length in range(0, T + 1):
+        for combo in product(range(V), repeat=length):
+            if min_frames_required(combo) > T:
+                continue
+            labels = tuple(emissions.unit_labels[u] for u in combo)
+            score = sequence_logprob(emissions, labels)
+            if alpha != 0.0:
+                score += alpha * lm.score_sequence(labels, include_eos=False)
+            score += beta * length
+            if best_labels is None or score > best_score or (score == best_score and labels < best_labels):
+                best_labels = labels
+                best_score = score
+    assert best_labels is not None
+    return best_labels, best_score

@@ -22,7 +22,6 @@ from pinasr.corpus import build_parallel
 from pinasr.ctc import (
     DecoderConfig,
     EmissionMatrix,
-    brute_force_decode,
     min_frames_required,
     prefix_beam_search,
     sequence_logprob,
@@ -31,7 +30,7 @@ from pinasr.metrics import edit_distance
 from pinasr.ngram_lm import read_arpa, train, write_arpa
 from pinasr.pinyin import parse_syllable, strip_tone
 from pinasr.transcriber import viterbi_transcribe
-from reference_impls import enumerate_lattice_best, recursive_edit_distance
+from reference_impls import brute_force_decode, enumerate_lattice_best, recursive_edit_distance
 from test_transcriber import random_lattice, random_lm
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())

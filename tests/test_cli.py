@@ -192,3 +192,72 @@ def test_validate_assets_command(capsys):
     code, out, _ = run(capsys, "validate-assets")
     assert code == 0
     assert "[ok]" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--unit-mode", "Tonal"),
+        ("synth", "--confusion-policy", "bogus"),
+        ("pipeline", "--unit-mode", "Tonal"),
+        ("transcribe", "--unit-mode", "Tonal", "--char-lm", "char.arpa"),
+    ],
+    ids=["synth-unit-mode", "synth-confusion-policy", "pipeline-unit-mode", "transcribe-unit-mode"],
+)
+def test_bad_unit_mode_or_confusion_policy_exits_2_and_writes_nothing(tmp_path, small_corpus, capsys, argv):
+    extra = ["--input", str(small_corpus)] if argv[0] == "transcribe" else ["--eval-corpus", str(small_corpus)]
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *argv, *extra, "--out-dir", str(out_dir))
+    assert code == 2
+    assert argv[1][2:].replace("-", "_") in err
+    assert out == "" and not out_dir.exists()
+
+
+def write_sentences(path, sentences):
+    path.write_text("\n".join(sentences) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", ["other-corpus", "other-unit-mode", "fewer-utterances", "missing-refs"])
+def test_pipeline_ingest_checks_synth_refs(tmp_path, small_corpus, capsys, case):
+    em_dir, out_dir = tmp_path / "em", tmp_path / "out"
+    code, _, _ = run(capsys, "synth", "--eval-corpus", str(small_corpus), "--out-dir", str(em_dir))
+    assert code == 0
+    sentences = assets.read_sentences("corpus_train.txt")
+    eval_corpus, flags, message = small_corpus, [], "refs.tsv:1: "
+    if case == "other-corpus":
+        eval_corpus = write_sentences(tmp_path / "other.txt", sentences[12:24])
+    elif case == "other-unit-mode":
+        flags = ["--unit-mode", "toneless", "--confusion-policy", "final-neighbor"]
+    elif case == "fewer-utterances":
+        eval_corpus = write_sentences(tmp_path / "fewer.txt", sentences[:10])
+        message = "refs.tsv: 12 references for 10 eval utterances"
+    else:
+        (em_dir / "refs.tsv").unlink()
+        message = "refs.tsv: not found"
+    code, out, err = run(capsys, "pipeline", "--emissions-dir", str(em_dir), "--eval-corpus", str(eval_corpus),
+                         "--out-dir", str(out_dir), *flags)
+    assert code == 1
+    assert message in err
+    assert out == "" and not out_dir.exists()
+
+
+def test_pipeline_ingest_matches_synthesized_run(tmp_path, small_corpus, capsys):
+    common = ["--eval-corpus", str(small_corpus), "--seed", "12345", "--temperature", "2.5"]
+    em_dir, plain, ingest = tmp_path / "em", tmp_path / "plain", tmp_path / "ingest"
+    assert run(capsys, "synth", *common, "--out-dir", str(em_dir))[0] == 0
+    assert run(capsys, "pipeline", *common, "--out-dir", str(plain))[0] == 0
+    assert run(capsys, "pipeline", *common, "--emissions-dir", str(em_dir), "--out-dir", str(ingest))[0] == 0
+    for name in ("hyps.tsv", "units.tsv", "detail.jsonl"):
+        assert (ingest / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_pipeline_stage_error_names_stage_and_utterance(tmp_path, small_corpus, capsys):
+    char_lm = tmp_path / "char.arpa"
+    code, _, _ = run(capsys, "train-lm", "--corpus", str(small_corpus), "--unit", "char",
+                     "--order", "2", "--out", str(char_lm))
+    assert code == 0
+    code, _, err = run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--pinyin-lm", str(char_lm),
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert "stage=decode utt=0" in err

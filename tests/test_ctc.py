@@ -9,9 +9,7 @@ from pinasr.ctc import (
     DecoderConfig,
     EmissionMatrix,
     InfeasibleLength,
-    InstanceTooLarge,
     VocabularyMismatch,
-    brute_force_decode,
     collapse_alignment,
     greedy_decode,
     log10addexp,
@@ -22,7 +20,7 @@ from pinasr.ctc import (
     write_emissions,
 )
 from pinasr.ngram_lm import train
-from reference_impls import enumerate_ctc_distribution
+from reference_impls import InstanceTooLarge, brute_force_decode, enumerate_ctc_distribution
 
 NEG_INF = float("-inf")
 
