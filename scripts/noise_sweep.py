@@ -26,6 +26,7 @@ from pinasr.ctc import greedy_decode
 SEED = 12345
 TEMPERATURE = 2.5
 LM_WEIGHT = 0.3
+GREEDY_GRID = "0.2,0.4,0.6,0.8,1.0,1.2,1.4,1.6"
 
 
 def greedy_exactness(temperatures):
@@ -60,7 +61,7 @@ def pipeline_point():
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--greedy-grid", default="0.2,0.4,0.6,0.8,1.0,1.2,1.4,1.6",
+        "--greedy-grid", default=GREEDY_GRID,
         help="comma-separated temperatures for the greedy sweep",
     )
     args = parser.parse_args()

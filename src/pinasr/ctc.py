@@ -247,59 +247,58 @@ def prefix_beam_search(
     unit_of_class = np.insert(unit_number, emissions.blank_index, -1)
     frames = _entries_by_frame(emissions.log_probs, config.prune_threshold, unit_of_class)
 
-    # prefix (tuple of unit numbers) -> [p_blank, p_nonblank]
-    beam: dict[tuple[int, ...], list[float]] = {(): [0.0, NEG_INF]}
-    # prefix -> (cumulative lm log10, lm context tuple); grows append-only.
+    # Beam entries: (-fused score, prefix, p_blank, p_nonblank, total mass),
+    # best first; prefixes are tuples of unit numbers.
+    beam: list[tuple[float, tuple[int, ...], float, float, float]] = [(0.0, (), 0.0, NEG_INF, 0.0)]
+    # prefix -> (cumulative lm log10, lm context tuple); grows append-only,
+    # and only when there is an LM.
     lm_cache: dict[tuple[int, ...], tuple[float, tuple[str, ...]]] = {(): (0.0, (BOS,))}
 
-    def fused(prefix: tuple[int, ...], masses: list[float]) -> float:
-        total = log10addexp(masses[0], masses[1])
-        return total + alpha * lm_cache[prefix][0] + beta * len(prefix)
-
-    def rank_key(item: tuple[tuple[int, ...], list[float]]) -> tuple[float, tuple[int, ...]]:
-        return -fused(*item), item[0]
-
-    def extend_meta(prefix: tuple[int, ...], unit: int) -> None:
-        child = prefix + (unit,)
-        if child in lm_cache:
-            return
-        cum, ctx = lm_cache[prefix]
-        token = labels[unit]
-        if lm is not None:
-            cum = cum + lm.score_token(ctx, token)
-            ctx = (ctx + (token,))[-(order - 1):] if order > 1 else ()
-        lm_cache[child] = (cum, ctx)
-
     for active in frames:
+        # prefix -> [p_blank, p_nonblank]; a new entry takes its first mass
+        # as is, since log10addexp(-inf, x) is x.
         next_beam: dict[tuple[int, ...], list[float]] = {}
-
-        def bump(prefix: tuple[int, ...], slot: int, value: float) -> None:
-            masses = next_beam.get(prefix)
-            if masses is None:
-                masses = [NEG_INF, NEG_INF]
-                next_beam[prefix] = masses
-            masses[slot] = log10addexp(masses[slot], value)
-
-        for prefix, (p_b, p_nb) in beam.items():
-            total = log10addexp(p_b, p_nb)
+        get = next_beam.get
+        for _, prefix, p_b, p_nb, total in beam:
             last = prefix[-1] if prefix else None
             for unit, score in active:
-                if unit < 0:
-                    bump(prefix, 0, total + score)
-                elif unit == last:
+                if unit < 0 or unit == last:
+                    masses = get(prefix)
+                    if masses is None:
+                        masses = next_beam[prefix] = [NEG_INF, NEG_INF]
+                    if unit < 0:
+                        # Slot 0 takes one mass per frame: the prefix's own blank.
+                        masses[0] = total + score
+                        continue
                     # Repeat merges unless a blank separated it.
-                    bump(prefix, 1, p_nb + score)
-                    if p_b != NEG_INF:
-                        extend_meta(prefix, unit)
-                        bump(prefix + (unit,), 1, p_b + score)
+                    masses[1] = log10addexp(masses[1], p_nb + score)
+                    if p_b == NEG_INF:
+                        continue
+                    value = p_b + score
                 else:
-                    extend_meta(prefix, unit)
-                    bump(prefix + (unit,), 1, total + score)
+                    value = total + score
+                child = prefix + (unit,)
+                masses = get(child)
+                if masses is not None:
+                    masses[1] = log10addexp(masses[1], value)
+                    continue
+                next_beam[child] = [NEG_INF, value]
+                if lm is not None and child not in lm_cache:
+                    cum, ctx = lm_cache[prefix]
+                    token = labels[unit]
+                    next_ctx = (ctx + (token,))[-(order - 1):] if order > 1 else ()
+                    lm_cache[child] = (cum + lm.score_token(ctx, token), next_ctx)
 
-        beam = dict(heapq.nsmallest(config.beam_width, next_beam.items(), key=rank_key))
+        candidates = []
+        for prefix, (p_b, p_nb) in next_beam.items():
+            # log10addexp(p_b, p_nb), with its -inf cases taken first.
+            total = p_nb if p_b == NEG_INF else p_b if p_nb == NEG_INF else log10addexp(p_b, p_nb)
+            cum = lm_cache[prefix][0] if lm is not None else 0.0
+            candidates.append((-(total + alpha * cum + beta * len(prefix)), prefix, p_b, p_nb, total))
+        # Prefixes are unique, so ties on the score break by prefix alone.
+        beam = heapq.nsmallest(config.beam_width, candidates)
 
-    # The beam is already ranked best first.
-    return [(tuple(labels[u] for u in prefix), fused(prefix, masses)) for prefix, masses in beam.items()]
+    return [(tuple(labels[u] for u in prefix), -key) for key, prefix, *_ in beam]
 
 
 def write_emissions(emissions: EmissionMatrix, sink) -> None:

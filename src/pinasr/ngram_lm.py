@@ -46,6 +46,10 @@ class MalformedArpa(ValueError):
     """ARPA text violated the expected layout."""
 
 
+class OutOfVocabulary(ValueError):
+    """A token outside the vocabulary, scored by a model that has no ``<unk>``."""
+
+
 @dataclass
 class CountTable:
     """Raw and continuation-adjusted n-gram counts, one dict per order.
@@ -106,20 +110,24 @@ class NGramModel:
         """log10 P(token | context) by longest-match backoff.
 
         Context longer than order-1 is truncated to its most recent tokens;
-        out-of-vocabulary tokens (in either position) map to ``<unk>``.
+        out-of-vocabulary tokens (in either position) map to ``<unk>``. A
+        model without ``<unk>`` raises OutOfVocabulary for such a token.
         """
-        token = self._map(token)
+        word = self._map(token)
         ctx = tuple(self._map(t) for t in context[max(0, len(context) - self.order + 1):])
         prob = self.prob_table
         backoff = self.backoff_table
         penalty = 0.0
         while True:
-            hit = prob.get(ctx + (token,))
+            hit = prob.get(ctx + (word,))
             if hit is not None:
                 return penalty + hit
             if not ctx:
                 # Every prediction-vocabulary token has a unigram entry, so
-                # only the context-only begin marker can land here.
+                # only the context-only begin marker, or <unk> in a model
+                # without it, can land here.
+                if word == UNK:
+                    raise OutOfVocabulary(f"token {token!r} is not in the LM vocabulary, which has no {UNK}")
                 return penalty + BOS_LOG10
             penalty += backoff.get(ctx, 0.0)
             ctx = ctx[1:]
@@ -266,7 +274,8 @@ def write_arpa(model: NGramModel, sink) -> None:
 
 def read_arpa(source) -> NGramModel:
     """Parse ARPA text back into a model; raises MalformedArpa with a line
-    diagnostic on layout violations."""
+    diagnostic on layout violations, on a log10 probability that is NaN,
+    infinite or above 0, and on a backoff weight that is not finite."""
     lines = source.read().splitlines() if hasattr(source, "read") else list(source)
     it = iter(enumerate(lines, 1))
 
@@ -320,6 +329,8 @@ def read_arpa(source) -> NGramModel:
             logprob = float(fields[0])
         except ValueError:
             fail(lineno, f"bad log probability {fields[0]!r}")
+        if not -math.inf < logprob <= 0.0:  # NaN fails too
+            fail(lineno, f"log probability {fields[0]!r} is not a finite log10 value <= 0")
         gram = tuple(fields[1].split(" "))
         if len(gram) != current:
             fail(lineno, f"{len(gram)}-gram in \\{current}-grams: section")
@@ -332,6 +343,8 @@ def read_arpa(source) -> NGramModel:
                 backoff[gram] = float(fields[2])
             except ValueError:
                 fail(lineno, f"bad backoff weight {fields[2]!r}")
+            if not math.isfinite(backoff[gram]):
+                fail(lineno, f"backoff weight {fields[2]!r} is not finite")
     if not ended:
         raise MalformedArpa("missing \\end\\ marker")
     for k, expected in declared.items():

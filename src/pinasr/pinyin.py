@@ -147,18 +147,6 @@ def parse_syllable(text: str, inventory: SyllableInventory) -> Syllable:
     return Syllable(initial=initial, final=final, tone=int(text[-1]))
 
 
-def parse_toneless(text: str, inventory: SyllableInventory) -> str:
-    """Validate a toneless unit like ``zhong``; returns the canonical string."""
-    if not text or not text.isascii():
-        raise InvalidSyllable(f"not an ASCII pinyin unit: {text!r}")
-    text = text.lower()
-    if text[-1].isdigit():
-        raise InvalidSyllable(f"tone digit present in toneless unit {text!r}")
-    if text not in inventory.toneless_units:
-        raise InvalidSyllable(f"not in inventory ({inventory.version}): {text!r}")
-    return text
-
-
 class PronunciationLexicon:
     """Hanzi -> weighted tonal readings, with homophone lookup indexes.
 

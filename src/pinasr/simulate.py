@@ -108,9 +108,6 @@ def synth_emissions(
     rng = np.random.default_rng(config.seed)
     neighbors = confusion_map(alphabet, config.confusion_policy) if tau > 0 else {}
 
-    def jitter() -> float:
-        return float(rng.uniform(*_JITTER))
-
     rows: list[np.ndarray] = []
 
     def unit_frame(unit_index: int, label: str) -> None:
@@ -118,11 +115,14 @@ def synth_emissions(
         weights[unit_index] = 1.0
         if tau > 0:
             confusable = neighbors[label]
+            # One call draws every jitter of the frame: each neighbour's in
+            # ascending order, then the blank's. Vector draws take the same
+            # stream as one scalar draw each.
+            draws = rng.uniform(*_JITTER, size=len(confusable) + 1)
             if confusable:
                 share = tau * _CONFUSION_LEAK / len(confusable)
-                for c in confusable:
-                    weights[c] = share * jitter()
-            weights[blank] = tau * _BLANK_LEAK * jitter()
+                weights[list(confusable)] = share * draws[:-1]
+            weights[blank] = tau * _BLANK_LEAK * draws[-1]
         rows.append(weights / weights.sum())
 
     def release_frame(prev_index: int, next_index: int | None) -> None:
@@ -130,9 +130,10 @@ def synth_emissions(
         weights[blank] = config.blank_fill
         if tau > 0:
             leak = tau * (1.0 - config.blank_fill) * 0.5
-            weights[prev_index] += leak * jitter()
+            draws = rng.uniform(*_JITTER, size=1 if next_index is None else 2)
+            weights[prev_index] += leak * draws[0]
             if next_index is not None:
-                weights[next_index] += leak * jitter()
+                weights[next_index] += leak * draws[1]
         rows.append(weights / weights.sum())
 
     if not labels:

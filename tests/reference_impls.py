@@ -5,12 +5,24 @@ library code: different data structures, different recursion shapes. When
 a library path and its oracle agree, each vouches for the other.
 """
 
+import heapq
 from functools import lru_cache
 from itertools import product
 
-from pinasr.ctc import NEG_INF, EmissionMatrix, min_frames_required, sequence_logprob
-from pinasr.ngram_lm import NGramModel
-from pinasr.pinyin import split_segment
+import numpy as np
+
+from pinasr.ctc import (
+    NEG_INF,
+    DecoderConfig,
+    EmissionMatrix,
+    VocabularyMismatch,
+    log10addexp,
+    min_frames_required,
+    sequence_logprob,
+)
+from pinasr.ngram_lm import BOS, NGramModel
+from pinasr.pinyin import InvalidSyllable, split_segment
+from pinasr.simulate import _BLANK_LEAK, _CONFUSION_LEAK, _JITTER, confusion_map
 
 
 def recursive_edit_distance(ref, hyp) -> int:
@@ -203,3 +215,155 @@ def brute_force_decode(
                 best_score = score
     assert best_labels is not None
     return best_labels, best_score
+
+
+def parse_toneless(text, inventory):
+    """Validate a toneless unit like ``zhong``; returns the canonical string."""
+    if not text or not text.isascii():
+        raise InvalidSyllable(f"not an ASCII pinyin unit: {text!r}")
+    text = text.lower()
+    if text[-1].isdigit():
+        raise InvalidSyllable(f"tone digit present in toneless unit {text!r}")
+    if text not in inventory.toneless_units:
+        raise InvalidSyllable(f"not in inventory ({inventory.version}): {text!r}")
+    return text
+
+
+def closure_prefix_beam_search(emissions, lm, config=DecoderConfig()):
+    """Prefix beam search as the library wrote it before its one-pass frame
+    step: every mass goes through a ``bump`` closure and ``log10addexp``,
+    the LM bookkeeping runs with or without an LM, and the ranking key
+    recomputes each candidate's fused score. Same contract and output as
+    ``pinasr.ctc.prefix_beam_search``, which must match it exactly."""
+    if lm is not None:
+        missing = [u for u in emissions.unit_labels if u not in lm.vocabulary]
+        if missing:
+            raise VocabularyMismatch(f"units absent from LM vocabulary: {missing[:5]}")
+
+    alpha = config.lm_weight if lm is not None else 0.0
+    beta = config.insertion_bonus
+    order = lm.order if lm is not None else 1
+
+    by_label = sorted(range(emissions.num_units), key=emissions.unit_labels.__getitem__)
+    labels = [emissions.unit_labels[u] for u in by_label]
+    unit_number = np.empty(emissions.num_units, dtype=np.int64)
+    unit_number[by_label] = np.arange(emissions.num_units)
+    unit_of_class = np.insert(unit_number, emissions.blank_index, -1).tolist()
+    frames = []
+    for row in emissions.log_probs:
+        classes = np.nonzero(row > config.prune_threshold)[0].tolist()
+        frames.append([(unit_of_class[c], float(row[c])) for c in classes])
+
+    beam = {(): [0.0, NEG_INF]}
+    lm_cache = {(): (0.0, (BOS,))}
+
+    def fused(prefix, masses):
+        total = log10addexp(masses[0], masses[1])
+        return total + alpha * lm_cache[prefix][0] + beta * len(prefix)
+
+    def rank_key(item):
+        return -fused(*item), item[0]
+
+    def extend_meta(prefix, unit):
+        child = prefix + (unit,)
+        if child in lm_cache:
+            return
+        cum, ctx = lm_cache[prefix]
+        token = labels[unit]
+        if lm is not None:
+            cum = cum + lm.score_token(ctx, token)
+            ctx = (ctx + (token,))[-(order - 1):] if order > 1 else ()
+        lm_cache[child] = (cum, ctx)
+
+    for active in frames:
+        next_beam = {}
+
+        def bump(prefix, slot, value):
+            masses = next_beam.get(prefix)
+            if masses is None:
+                masses = [NEG_INF, NEG_INF]
+                next_beam[prefix] = masses
+            masses[slot] = log10addexp(masses[slot], value)
+
+        for prefix, (p_b, p_nb) in beam.items():
+            total = log10addexp(p_b, p_nb)
+            last = prefix[-1] if prefix else None
+            for unit, score in active:
+                if unit < 0:
+                    bump(prefix, 0, total + score)
+                elif unit == last:
+                    bump(prefix, 1, p_nb + score)
+                    if p_b != NEG_INF:
+                        extend_meta(prefix, unit)
+                        bump(prefix + (unit,), 1, p_b + score)
+                else:
+                    extend_meta(prefix, unit)
+                    bump(prefix + (unit,), 1, total + score)
+
+        beam = dict(heapq.nsmallest(config.beam_width, next_beam.items(), key=rank_key))
+
+    return [(tuple(labels[u] for u in prefix), fused(prefix, masses)) for prefix, masses in beam.items()]
+
+
+def scalar_draw_synth_emissions(pinyin, alphabet, config):
+    """Emission synthesis as the library wrote it before it drew each
+    frame's jitter in one vector call: one scalar ``rng.uniform`` per
+    neighbour, blank and release leak, in that order. Same contract and
+    output as ``pinasr.simulate.synth_emissions``, which must match it
+    exactly."""
+    labels = tuple(str(s) for s in pinyin)
+    alphabet = tuple(alphabet)
+    index = {label: i for i, label in enumerate(alphabet)}
+    if len(index) != len(alphabet):
+        raise ValueError("alphabet contains duplicate labels")
+    for label in labels:
+        if label not in index:
+            raise InvalidSyllable(f"unit {label!r} not in the emission alphabet")
+
+    V = len(alphabet)
+    blank = V
+    tau = config.confusion_temperature
+    rng = np.random.default_rng(config.seed)
+    neighbors = confusion_map(alphabet, config.confusion_policy) if tau > 0 else {}
+
+    def jitter():
+        return float(rng.uniform(*_JITTER))
+
+    rows = []
+
+    def unit_frame(unit_index, label):
+        weights = np.zeros(V + 1)
+        weights[unit_index] = 1.0
+        if tau > 0:
+            confusable = neighbors[label]
+            if confusable:
+                share = tau * _CONFUSION_LEAK / len(confusable)
+                for c in confusable:
+                    weights[c] = share * jitter()
+            weights[blank] = tau * _BLANK_LEAK * jitter()
+        rows.append(weights / weights.sum())
+
+    def release_frame(prev_index, next_index):
+        weights = np.zeros(V + 1)
+        weights[blank] = config.blank_fill
+        if tau > 0:
+            leak = tau * (1.0 - config.blank_fill) * 0.5
+            weights[prev_index] += leak * jitter()
+            if next_index is not None:
+                weights[next_index] += leak * jitter()
+        rows.append(weights / weights.sum())
+
+    if not labels:
+        weights = np.zeros(V + 1)
+        weights[blank] = 1.0
+        rows.append(weights)
+    for pos, label in enumerate(labels):
+        unit_index = index[label]
+        for _ in range(config.frames_per_unit):
+            unit_frame(unit_index, label)
+        next_index = index[labels[pos + 1]] if pos + 1 < len(labels) else None
+        release_frame(unit_index, next_index)
+
+    with np.errstate(divide="ignore"):
+        log_probs = np.log10(np.vstack(rows))
+    return EmissionMatrix(log_probs=log_probs, unit_labels=alphabet, blank_index=blank)

@@ -20,7 +20,12 @@ from pinasr.ctc import (
     write_emissions,
 )
 from pinasr.ngram_lm import train
-from reference_impls import InstanceTooLarge, brute_force_decode, enumerate_ctc_distribution
+from reference_impls import (
+    InstanceTooLarge,
+    brute_force_decode,
+    closure_prefix_beam_search,
+    enumerate_ctc_distribution,
+)
 
 NEG_INF = float("-inf")
 
@@ -212,6 +217,33 @@ def test_beam_ties_follow_label_order_not_class_order(width):
             assert got[0][1] == pytest.approx(want_score, abs=1e-9)
     top = prefix_beam_search(uniform[0], None, DecoderConfig(beam_width=width))
     assert [units for units, _ in top] == [(), ("a",), ("b",), ("c",)][:width]
+
+
+TRIGRAM_LM = train([["a", "b", "a"], ["c", "b"], ["b", "a", "e", "a"], ["d"]], order=3, discount=0.7,
+                   vocabulary=list("abcde"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_beam_matches_closure_reference(fusion_lm, data):
+    # The one-pass frame step must reproduce the closure-based search it
+    # replaced bit for bit: same prefixes, same order, same float scores.
+    T, V = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    row = st.lists(weight, min_size=V + 1, max_size=V + 1).filter(lambda w: sum(w) > 0)
+    weights = np.array(data.draw(st.lists(row, min_size=T, max_size=T)))
+    with np.errstate(divide="ignore"):
+        grid = np.log10(weights / weights.sum(axis=1, keepdims=True))
+    labels = tuple(data.draw(st.permutations("abcde"))[:V])  # class order differs from label order
+    e = EmissionMatrix(grid, labels, blank_index=data.draw(st.integers(0, V)))
+    lm = data.draw(st.sampled_from([None, fusion_lm, TRIGRAM_LM]))
+    config = DecoderConfig(
+        beam_width=data.draw(st.integers(1, 4)),
+        lm_weight=data.draw(st.sampled_from([0.0, 0.3, 1.7])),
+        insertion_bonus=data.draw(st.sampled_from([0.0, 0.25, -0.6])),
+        prune_threshold=data.draw(st.sampled_from([NEG_INF, -3.0, -1.0, -0.4])),
+    )
+    assert prefix_beam_search(e, lm, config) == closure_prefix_beam_search(e, lm, config)
 
 
 def test_vocabulary_mismatch_raised(fusion_lm):

@@ -13,6 +13,7 @@ from pinasr.ngram_lm import (
     UNK,
     InvalidDiscount,
     MalformedArpa,
+    OutOfVocabulary,
     _count_ngrams,
     read_arpa,
     train,
@@ -228,3 +229,51 @@ def test_arpa_rejects_garbage():
         read_arpa(io.StringIO("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n"))
     with pytest.raises(MalformedArpa, match="bad log probability"):
         read_arpa(io.StringIO("\\data\\\nngram 1=1\n\n\\1-grams:\nxx\ta\n\n\\end\\\n"))
+
+
+BIGRAM_ARPA = (
+    "\\data\\\nngram 1=4\nngram 2=2\n\n"
+    "\\1-grams:\n-0.5\t</s>\n-99.0\t<s>\t-0.3\n-0.4\t<unk>\n-0.3\ta\t-0.2\n\n"
+    "\\2-grams:\n-0.1\t<s> a\n-0.2\ta </s>\n\n\\end\\\n"
+)
+
+
+def test_bigram_arpa_fixture_reads():
+    model = read_arpa(io.StringIO(BIGRAM_ARPA))
+    assert model.prob_table[(BOS,)] == -99.0  # the begin-marker placeholder stays legal
+    assert model.score_token([BOS], "a") == -0.1
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("-0.3\ta\t", "nan\ta\t", 9),
+    ("-0.3\ta\t", "inf\ta\t", 9),
+    ("-0.3\ta\t", "-inf\ta\t", 9),
+    ("-0.3\ta\t", "0.25\ta\t", 9),
+    ("-0.1\t<s> a", "nan\t<s> a", 12),
+    ("-0.2\ta </s>", "1e-9\ta </s>", 13),
+], ids=["nan", "inf", "-inf", "positive", "nan-bigram", "positive-bigram"])
+def test_read_arpa_rejects_bad_log_probability(old, new, line):
+    text = BIGRAM_ARPA.replace(old, new)
+    assert text != BIGRAM_ARPA
+    with pytest.raises(MalformedArpa, match=f"^line {line}: .*log probability"):
+        read_arpa(io.StringIO(text))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_arpa_rejects_non_finite_backoff(bad):
+    text = BIGRAM_ARPA.replace("\ta\t-0.2", f"\ta\t{bad}")
+    assert text != BIGRAM_ARPA
+    with pytest.raises(MalformedArpa, match="^line 9: .*backoff weight"):
+        read_arpa(io.StringIO(text))
+
+
+def test_out_of_vocabulary_token_without_unk_raises():
+    text = BIGRAM_ARPA.replace("-0.4\t<unk>\n", "").replace("ngram 1=4", "ngram 1=3")
+    model = read_arpa(io.StringIO(text))
+    assert UNK not in model.vocabulary
+    assert model.score_token([BOS], "a") == -0.1
+    with pytest.raises(OutOfVocabulary, match="'zz'"):
+        model.score_token([BOS], "zz")
+    with pytest.raises(OutOfVocabulary, match="'zz'"):
+        model.score_token([], "zz")
+    assert issubclass(OutOfVocabulary, ValueError)

