@@ -17,7 +17,6 @@ from .ctc import (
     collapse_alignment,
     greedy_decode,
     prefix_beam_search,
-    sequence_logprob,
 )
 from .metrics import ScoreReport, edit_distance, error_rate, tone_stripped_rescore
 from .ngram_lm import NGramModel, read_arpa, train, write_arpa
@@ -34,6 +33,5 @@ from .transcriber import (
     HomophoneLattice,
     TranscriptionResult,
     beam_transcribe,
-    build_lattice,
-    viterbi_transcribe,
+    build_lattice_lenient,
 )

@@ -114,18 +114,6 @@ def atomic_open(path: Path):
     os.replace(tmp, path)
 
 
-def _load_inventory(config: PipelineConfig) -> SyllableInventory:
-    if config.inventory:
-        return SyllableInventory.from_file(_existing(config.inventory))
-    return assets.default_inventory()
-
-
-def _load_lexicon(config: PipelineConfig, inventory: SyllableInventory) -> PronunciationLexicon:
-    if config.lexicon:
-        return PronunciationLexicon.from_file(_existing(config.lexicon), inventory)
-    return assets.default_lexicon()
-
-
 def _existing(path: str) -> Path:
     p = Path(path)
     if not p.exists():
@@ -166,8 +154,10 @@ class Pipeline:
             raise ConfigError(f"confusion_policy must be one of {POLICIES}")
         self.config = config
         self.tonal = config.unit_mode == "tonal"
-        self.inventory = _load_inventory(config)
-        self.lexicon = _load_lexicon(config, self.inventory)
+        self.inventory = (SyllableInventory.from_file(_existing(config.inventory)) if config.inventory
+                          else assets.default_inventory())
+        self.lexicon = (PronunciationLexicon.from_file(_existing(config.lexicon), self.inventory) if config.lexicon
+                        else assets.default_lexicon())
         self.alphabet = tuple(sorted(self.inventory.tonal_units if self.tonal else self.inventory.toneless_units))
 
     def units(self, pinyin) -> list[str]:
@@ -196,10 +186,11 @@ class Pipeline:
         return ngram_lm.train(corpus, order, self.config.lm_discount, self.config.min_count, vocabulary)
 
     def transcribe(self, units: list[str], char_lm: NGramModel, lenient: bool = True):
-        """The best Hanzi reading; a strict lattice raises NoCandidate where
-        a lenient one falls back (see transcriber.build_lattice_lenient)."""
-        build = transcriber.build_lattice_lenient if lenient else transcriber.build_lattice
-        lattice = build(units, self.lexicon, tonal=self.tonal)
+        """The best Hanzi reading; without ``lenient``, a lattice fallback
+        raises NoCandidate before any search (see HomophoneLattice.check_exact)."""
+        lattice = transcriber.build_lattice_lenient(units, self.lexicon, tonal=self.tonal)
+        if not lenient:
+            lattice.check_exact()
         c = self.config
         return transcriber.beam_transcribe(lattice, char_lm, c.channel_weight, c.transcriber_beam)[0]
 
@@ -371,14 +362,12 @@ def cmd_transcribe(args, config: PipelineConfig) -> int:
 
 
 def cmd_stats(args, config: PipelineConfig) -> int:
-    inventory = _load_inventory(config)
+    pipe = Pipeline(config)
     if args.parallel:
         with open(_existing(args.parallel), encoding="utf-8") as fh:
-            corpus = read_parallel_tsv(fh, inventory)
+            corpus = read_parallel_tsv(fh, pipe.inventory)
     else:
-        lexicon = _load_lexicon(config, inventory)
-        sentences = _read_lines(args.corpus, "corpus_toy20.txt")
-        corpus = build_parallel(sentences, lexicon, "stats")
+        corpus = build_parallel(_read_lines(args.corpus, "corpus_toy20.txt"), pipe.lexicon, "stats")
     report = ambiguity.stats_report(corpus, args.n_max)
     print(ambiguity.render_tsv(report), end="")
     print()
@@ -391,11 +380,12 @@ def cmd_score(args, config: PipelineConfig) -> int:
         lines = _existing(path).read_text(encoding="utf-8").splitlines()
         return [list(l) if args.chars else l.split() for l in lines]
 
+    # The config is checked before anything is printed.
+    inventory = Pipeline(config).inventory if args.tone_stripped else None
     refs, hyps = read_tokens(args.refs), read_tokens(args.hyps)
     report = metrics.error_rate(refs, hyps)
     metrics.write_report_tsv(report, sys.stdout)
     if args.tone_stripped:
-        inventory = _load_inventory(config)
         stripped = metrics.tone_stripped_rescore(refs, hyps, inventory)
         metrics.write_report_tsv(stripped, sys.stdout, label="tone_stripped")
     if args.jsonl:

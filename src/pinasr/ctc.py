@@ -1,8 +1,8 @@
 """Lexicon-free CTC decoding over unit emissions.
 
-Greedy decode, prefix beam search with shallow n-gram LM fusion, the
-forward-algorithm sequence probability, and the ``.em`` emission files
-(the brute-force oracle for small instances is in tests/reference_impls.py).
+Greedy decode, prefix beam search with shallow n-gram LM fusion, and the
+``.em`` emission files (the forward algorithm and the brute-force oracle
+for small instances are in tests/reference_impls.py).
 Every modeling unit is its own decoding token (the "dummy lexicon" view),
 so no word lexicon is involved anywhere.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +31,6 @@ from .ngram_lm import BOS, NGramModel
 NEG_INF = float("-inf")
 
 _LN10 = math.log(10.0)
-
-
-class InfeasibleLength(ValueError):
-    """The label sequence cannot be emitted in the given number of frames."""
 
 
 class VocabularyMismatch(ValueError):
@@ -106,9 +102,6 @@ class EmissionMatrix:
     def num_units(self) -> int:
         return len(self.unit_labels)
 
-    def class_of_unit(self, unit_index: int) -> int:
-        return unit_index if unit_index < self.blank_index else unit_index + 1
-
     def unit_of_class(self, class_index: int) -> int:
         """Unit index for a non-blank class column."""
         if class_index == self.blank_index:
@@ -146,57 +139,6 @@ def greedy_decode(emissions: EmissionMatrix) -> list[str]:
     frames = np.argmax(emissions.log_probs, axis=1)
     collapsed = collapse_alignment(frames.tolist(), emissions.blank_index)
     return [emissions.unit_labels[emissions.unit_of_class(c)] for c in collapsed]
-
-
-def min_frames_required(labels: Sequence) -> int:
-    """Frames a label sequence needs: one per label plus a blank between
-    adjacent repeats."""
-    repeats = sum(1 for i in range(1, len(labels)) if labels[i] == labels[i - 1])
-    return len(labels) + repeats
-
-
-def sequence_logprob(emissions: EmissionMatrix, labels: Sequence[str]) -> float:
-    """log10 of the total probability mass of alignments collapsing to
-    ``labels`` (the CTC forward algorithm)."""
-    label_to_unit = {u: i for i, u in enumerate(emissions.unit_labels)}
-    try:
-        units = [label_to_unit[lab] for lab in labels]
-    except KeyError as exc:
-        raise VocabularyMismatch(f"label {exc.args[0]!r} is not an emission unit") from None
-    T = emissions.num_frames
-    if min_frames_required(units) > T:
-        raise InfeasibleLength(f"{len(units)} labels need {min_frames_required(units)} frames, have {T}")
-
-    blank = emissions.blank_index
-    # Expanded state sequence: blank, l1, blank, l2, ..., blank.
-    expanded = [blank]
-    for u in units:
-        expanded.append(emissions.class_of_unit(u))
-        expanded.append(blank)
-    S = len(expanded)
-    rows = emissions.log_probs.tolist()
-
-    alpha = [NEG_INF] * S
-    alpha[0] = rows[0][expanded[0]]
-    if S > 1:
-        alpha[1] = rows[0][expanded[1]]
-    for t in range(1, T):
-        row = rows[t]
-        new = [NEG_INF] * S
-        for s in range(S):
-            best = alpha[s]
-            if s >= 1:
-                best = log10addexp(best, alpha[s - 1])
-            # Skip a blank only between distinct labels.
-            if s >= 2 and expanded[s] != blank and expanded[s] != expanded[s - 2]:
-                best = log10addexp(best, alpha[s - 2])
-            if best != NEG_INF:
-                new[s] = best + row[expanded[s]]
-        alpha = new
-    total = alpha[S - 1]
-    if S > 1:
-        total = log10addexp(total, alpha[S - 2])
-    return total
 
 
 @dataclass(frozen=True)
@@ -316,12 +258,12 @@ def write_emissions(emissions: EmissionMatrix, sink) -> None:
 
 
 def read_emissions(source) -> EmissionMatrix:
-    """Parse the text form written by ``write_emissions``. Raises ValueError
-    naming the line for rows past the declared frame count, for an entry
-    that is not ``class:value`` (a dense row from an earlier version
-    included), for a class out of range, repeated or out of ascending order,
-    and for a value that is not finite."""
-    lines = source.read().splitlines() if hasattr(source, "read") else [l.rstrip("\n") for l in source]
+    """Parse the text form written by ``write_emissions`` from the file
+    object ``source``. Raises ValueError naming the line for rows past the
+    declared frame count, for an entry that is not ``class:value`` (a dense
+    row from an earlier version included), for a class out of range,
+    repeated or out of ascending order, and for a value that is not finite."""
+    lines = source.read().splitlines()
     if len(lines) < 2:
         raise ValueError("emission file needs a header line and a label line")
     header = lines[0].split()

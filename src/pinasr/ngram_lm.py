@@ -104,14 +104,20 @@ class NGramModel:
         return self.vocabulary - {BOS}
 
     def _map(self, token: str) -> str:
-        return token if token in self.vocabulary else UNK
+        """``token`` if in the vocabulary, else ``<unk>``; a model without
+        ``<unk>`` raises OutOfVocabulary naming the token."""
+        if token in self.vocabulary:
+            return token
+        if UNK in self.vocabulary:
+            return UNK
+        raise OutOfVocabulary(f"token {token!r} is not in the LM vocabulary, which has no {UNK}")
 
     def score_token(self, context: Sequence[str], token: str) -> float:
         """log10 P(token | context) by longest-match backoff.
 
         Context longer than order-1 is truncated to its most recent tokens;
-        out-of-vocabulary tokens (in either position) map to ``<unk>``. A
-        model without ``<unk>`` raises OutOfVocabulary for such a token.
+        out-of-vocabulary tokens (in either position) map to ``<unk>``, or
+        raise OutOfVocabulary in a model without ``<unk>``.
         """
         word = self._map(token)
         ctx = tuple(self._map(t) for t in context[max(0, len(context) - self.order + 1):])
@@ -123,11 +129,8 @@ class NGramModel:
             if hit is not None:
                 return penalty + hit
             if not ctx:
-                # Every prediction-vocabulary token has a unigram entry, so
-                # only the context-only begin marker, or <unk> in a model
-                # without it, can land here.
-                if word == UNK:
-                    raise OutOfVocabulary(f"token {token!r} is not in the LM vocabulary, which has no {UNK}")
+                # Trained and ARPA-read models have a unigram for every
+                # vocabulary token; a hand-built one may omit the begin marker's.
                 return penalty + BOS_LOG10
             penalty += backoff.get(ctx, 0.0)
             ctx = ctx[1:]
@@ -273,10 +276,11 @@ def write_arpa(model: NGramModel, sink) -> None:
 
 
 def read_arpa(source) -> NGramModel:
-    """Parse ARPA text back into a model; raises MalformedArpa with a line
-    diagnostic on layout violations, on a log10 probability that is NaN,
-    infinite or above 0, and on a backoff weight that is not finite."""
-    lines = source.read().splitlines() if hasattr(source, "read") else list(source)
+    """Parse ARPA text from the file object ``source`` back into a model;
+    raises MalformedArpa with a line diagnostic on layout violations, on a
+    log10 probability that is NaN, infinite or above 0, and on a backoff
+    weight that is not finite."""
+    lines = source.read().splitlines()
     it = iter(enumerate(lines, 1))
 
     def fail(lineno: int, message: str):

@@ -5,10 +5,10 @@ decoder then finds the character path maximizing
 
     log10 P_lm(path) + channel_weight * sum(log10 P(unit | char))
 
-with the LM scored like a sentence (begin and end markers included). The
-Viterbi search is exact: its state is the last order-1 characters, which is
-all the LM can see. ``beam_transcribe`` is the bounded-memory variant and
-degenerates to exact search when the beam covers every state.
+with the LM scored like a sentence (begin and end markers included).
+``beam_transcribe`` keeps at most ``beam_width`` search states per position;
+with ``beam_width=None`` it keeps all and is the exact Viterbi search, since
+its state is the last order-1 characters, which is all the LM can see.
 
 Ties anywhere break toward the lexicographically smaller character
 sequence, so results are deterministic and enumeration-checkable.
@@ -36,80 +36,84 @@ class NoCandidate(ValueError):
 
 @dataclass(frozen=True)
 class HomophoneLattice:
-    """Per-position candidate sets of (character, log10 channel weight)."""
+    """Per-position candidate sets of (character, log10 channel weight).
+
+    ``fallbacks`` lists, ascending, the positions whose unit matched no
+    lexicon reading and took fallback candidates instead.
+    """
 
     units: tuple[str, ...]
     positions: tuple[tuple[tuple[str, float], ...], ...]
+    fallbacks: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.positions)
+
+    def check_exact(self) -> None:
+        """Raise NoCandidate for the first position that fell back."""
+        if self.fallbacks:
+            index = self.fallbacks[0]
+            raise NoCandidate(self.units[index], index)
 
 
 @dataclass(frozen=True)
 class TranscriptionResult:
     hanzi: str
     total_score: float
-    alternatives: tuple[tuple[str, float], ...] | None = None
 
 
-def build_lattice(
-    pinyin: Sequence[Syllable | str],
-    lexicon: PronunciationLexicon,
-    tonal: bool = True,
-) -> HomophoneLattice:
-    """Match each unit against the lexicon's (tonal or tone-stripped)
-    readings. Raises NoCandidate with the offending position."""
-    units = tuple(str(s) for s in pinyin)
-    positions = []
-    for index, unit in enumerate(units):
-        matches = lexicon.homophones(unit, tonal=tonal)
-        if not matches:
-            raise NoCandidate(unit, index)
-        positions.append(tuple((char, math.log10(p)) for char, p in matches))
-    return HomophoneLattice(units=units, positions=tuple(positions))
-
-
+# Named "lenient" until bench/trace_child.py, which wraps it by this name, follows a rename.
 def build_lattice_lenient(
     pinyin: Sequence[Syllable | str],
     lexicon: PronunciationLexicon,
     tonal: bool = True,
 ) -> HomophoneLattice:
-    """Like :func:`build_lattice`, but recognition errors never kill the
-    utterance: a tonal unit with no homophones falls back to its toneless
-    candidates (the tone was probably misrecognized), and a unit whose
-    segment is entirely unknown falls back to the lexicon's most frequent
-    character with a flat penalty. Length is always preserved."""
+    """Match each unit against the lexicon's (tonal or tone-stripped)
+    readings. A unit with none falls back, and its position goes into
+    ``fallbacks``: a tonal unit to its toneless candidates (the tone was
+    probably misrecognized), a unit whose segment is unknown to the
+    lexicon's most frequent character with a flat penalty. Length is always
+    preserved; only an empty lexicon, with nothing to fall back to, raises
+    NoCandidate."""
     units = tuple(str(s) for s in pinyin)
     fallback_char: str | None = None
-    positions = []
-    for unit in units:
+    positions, fallbacks = [], []
+    for index, unit in enumerate(units):
         matches = lexicon.homophones(unit, tonal=tonal)
-        if not matches and tonal and unit[-1].isdigit():
-            matches = lexicon.homophones(unit[:-1], tonal=False)
+        if not matches:
+            fallbacks.append(index)
+            if tonal and unit[-1:].isdigit():
+                matches = lexicon.homophones(unit[:-1], tonal=False)
         if matches:
             positions.append(tuple((char, math.log10(p)) for char, p in matches))
             continue
         if fallback_char is None:
+            if not len(lexicon):
+                raise NoCandidate(unit, index)
             fallback_char = max(
                 lexicon.characters,
                 key=lambda c: (sum(w for _, w in lexicon.readings(c)), c),
             )
         positions.append(((fallback_char, -3.0),))
-    return HomophoneLattice(units=units, positions=tuple(positions))
+    return HomophoneLattice(units=units, positions=tuple(positions), fallbacks=tuple(fallbacks))
 
 
-def _search(
+def beam_transcribe(
     lattice: HomophoneLattice,
     char_lm: NGramModel,
-    channel_weight: float,
-    beam_width: int | None,
-) -> list[tuple[tuple[str, ...], float]]:
-    """Shared DP over lattice paths; state = LM context tuple.
+    channel_weight: float = 1.0,
+    beam_width: int | None = 16,
+) -> list[TranscriptionResult]:
+    """Best lattice paths first (non-increasing scores): a DP over lattice
+    paths whose state is the LM context tuple.
 
     Keeping, per state, the single best (score, lexicographically smallest)
     prefix is exact because any two paths meeting in a state share their
-    future scores. ``beam_width=None`` disables pruning.
+    future scores. At most ``beam_width`` states survive each position;
+    ``beam_width=None`` prunes none, so rank 1 is the exact Viterbi argmax.
     """
+    if beam_width is not None and beam_width < 1:
+        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     ctx_len = char_lm.order - 1
     # state -> (score, prefix)
     initial: tuple[str, ...] = (BOS,) if ctx_len else ()
@@ -133,38 +137,4 @@ def _search(
         for ctx, (score, prefix) in states.items()
     ]
     finals.sort(key=lambda item: (-item[0], item[1]))
-    return [(prefix, score) for score, prefix in finals]
-
-
-def viterbi_transcribe(
-    lattice: HomophoneLattice,
-    char_lm: NGramModel,
-    channel_weight: float = 1.0,
-) -> TranscriptionResult:
-    """Exact argmax over lattice paths."""
-    ranked = _search(lattice, char_lm, channel_weight, beam_width=None)
-    prefix, score = ranked[0]
-    return TranscriptionResult(hanzi="".join(prefix), total_score=score)
-
-
-def beam_transcribe(
-    lattice: HomophoneLattice,
-    char_lm: NGramModel,
-    channel_weight: float = 1.0,
-    beam_width: int = 16,
-) -> list[TranscriptionResult]:
-    """Beam-limited search returning an n-best list (non-increasing scores).
-
-    The rank-1 result carries the remaining hypotheses in ``alternatives``.
-    """
-    if beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    ranked = _search(lattice, char_lm, channel_weight, beam_width=beam_width)
-    ranked = ranked[:beam_width]
-    results = [TranscriptionResult(hanzi="".join(p), total_score=s) for p, s in ranked]
-    if results:
-        alts = tuple((r.hanzi, r.total_score) for r in results[1:])
-        results[0] = TranscriptionResult(
-            hanzi=results[0].hanzi, total_score=results[0].total_score, alternatives=alts
-        )
-    return results
+    return [TranscriptionResult(hanzi="".join(prefix), total_score=score) for score, prefix in finals]

@@ -17,8 +17,6 @@ from pinasr.ctc import (
     EmissionMatrix,
     VocabularyMismatch,
     log10addexp,
-    min_frames_required,
-    sequence_logprob,
 )
 from pinasr.ngram_lm import BOS, NGramModel
 from pinasr.pinyin import InvalidSyllable, split_segment
@@ -176,6 +174,61 @@ def arpa_perplexity(text, order, corpus):
             context = context + (mapped,)
         denom += len(sentence) + 1
     return 10.0 ** (-total / denom)
+
+
+class InfeasibleLength(ValueError):
+    """The label sequence cannot be emitted in the given number of frames."""
+
+
+def min_frames_required(labels) -> int:
+    """Frames a label sequence needs: one per label plus a blank between
+    adjacent repeats."""
+    repeats = sum(1 for i in range(1, len(labels)) if labels[i] == labels[i - 1])
+    return len(labels) + repeats
+
+
+def sequence_logprob(emissions: EmissionMatrix, labels) -> float:
+    """log10 of the total probability mass of alignments collapsing to
+    ``labels`` (the CTC forward algorithm)."""
+    label_to_unit = {u: i for i, u in enumerate(emissions.unit_labels)}
+    try:
+        units = [label_to_unit[lab] for lab in labels]
+    except KeyError as exc:
+        raise VocabularyMismatch(f"label {exc.args[0]!r} is not an emission unit") from None
+    T = emissions.num_frames
+    if min_frames_required(units) > T:
+        raise InfeasibleLength(f"{len(units)} labels need {min_frames_required(units)} frames, have {T}")
+
+    blank = emissions.blank_index
+    # Expanded state sequence: blank, l1, blank, l2, ..., blank.
+    expanded = [blank]
+    for u in units:
+        expanded.append(u if u < blank else u + 1)  # the unit's class column
+        expanded.append(blank)
+    S = len(expanded)
+    rows = emissions.log_probs.tolist()
+
+    alpha = [NEG_INF] * S
+    alpha[0] = rows[0][expanded[0]]
+    if S > 1:
+        alpha[1] = rows[0][expanded[1]]
+    for t in range(1, T):
+        row = rows[t]
+        new = [NEG_INF] * S
+        for s in range(S):
+            best = alpha[s]
+            if s >= 1:
+                best = log10addexp(best, alpha[s - 1])
+            # Skip a blank only between distinct labels.
+            if s >= 2 and expanded[s] != blank and expanded[s] != expanded[s - 2]:
+                best = log10addexp(best, alpha[s - 2])
+            if best != NEG_INF:
+                new[s] = best + row[expanded[s]]
+        alpha = new
+    total = alpha[S - 1]
+    if S > 1:
+        total = log10addexp(total, alpha[S - 2])
+    return total
 
 
 class InstanceTooLarge(ValueError):

@@ -19,18 +19,18 @@ from pinasr import assets
 from pinasr.ambiguity import mapping_stats
 from pinasr.cli import PipelineConfig, cmd_pipeline
 from pinasr.corpus import build_parallel
-from pinasr.ctc import (
-    DecoderConfig,
-    EmissionMatrix,
-    min_frames_required,
-    prefix_beam_search,
-    sequence_logprob,
-)
+from pinasr.ctc import DecoderConfig, EmissionMatrix, prefix_beam_search
 from pinasr.metrics import edit_distance
 from pinasr.ngram_lm import read_arpa, train, write_arpa
 from pinasr.pinyin import parse_syllable, strip_tone
-from pinasr.transcriber import viterbi_transcribe
-from reference_impls import brute_force_decode, enumerate_lattice_best, recursive_edit_distance
+from pinasr.transcriber import beam_transcribe
+from reference_impls import (
+    brute_force_decode,
+    enumerate_lattice_best,
+    min_frames_required,
+    recursive_edit_distance,
+    sequence_logprob,
+)
 from test_transcriber import random_lattice, random_lm
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
@@ -123,7 +123,7 @@ def test_criterion_4_transcriber_oracle_equivalence():
         lm = random_lm(rng, order=int(rng.integers(1, 4)))
         lattice = random_lattice(rng, max_positions=8, max_candidates=10)
         weight = float(rng.uniform(0.2, 2.0))
-        got = viterbi_transcribe(lattice, lm, weight)
+        got = beam_transcribe(lattice, lm, weight, beam_width=None)[0]
         want_chars, want_score = enumerate_lattice_best(lattice, lm, weight)
         assert got.hanzi == "".join(want_chars), case
         assert got.total_score == pytest.approx(want_score, abs=1e-9)

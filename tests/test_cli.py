@@ -162,6 +162,13 @@ def test_transcribe_command(tmp_path, capsys):
     assert len(hanzi) == 2
     assert hanzi == "中国"
 
+    # Strict: a unit no character reads stops the run, after the lines before it.
+    pinyin_file.write_text("zhong1 guo2\nzhong1 zhong2\n", encoding="utf-8")
+    code, strict_out, err = run(capsys, "transcribe", "--input", str(pinyin_file), "--char-lm", str(lm_path))
+    assert code == 1
+    assert err == "error: no homophone candidates for 'zhong2' at position 1\n"
+    assert strict_out == out
+
 
 def test_transcribe_requires_char_lm(tmp_path, capsys):
     pinyin_file = tmp_path / "p.txt"
@@ -201,11 +208,17 @@ def test_validate_assets_command(capsys):
         ("synth", "--confusion-policy", "bogus"),
         ("pipeline", "--unit-mode", "Tonal"),
         ("transcribe", "--unit-mode", "Tonal", "--char-lm", "char.arpa"),
+        ("stats", "--unit-mode", "Tonal"),
+        ("score", "--confusion-policy", "bogus", "--tone-stripped"),
     ],
-    ids=["synth-unit-mode", "synth-confusion-policy", "pipeline-unit-mode", "transcribe-unit-mode"],
+    ids=["synth-unit-mode", "synth-confusion-policy", "pipeline-unit-mode", "transcribe-unit-mode",
+         "stats-unit-mode", "score-confusion-policy"],
 )
 def test_bad_unit_mode_or_confusion_policy_exits_2_and_writes_nothing(tmp_path, small_corpus, capsys, argv):
-    extra = ["--input", str(small_corpus)] if argv[0] == "transcribe" else ["--eval-corpus", str(small_corpus)]
+    extra = {
+        "transcribe": ["--input", str(small_corpus)],
+        "score": ["--refs", str(small_corpus), "--hyps", str(small_corpus)],
+    }.get(argv[0], ["--eval-corpus", str(small_corpus)])
     out_dir = tmp_path / "out"
     code, out, err = run(capsys, *argv, *extra, "--out-dir", str(out_dir))
     assert code == 2

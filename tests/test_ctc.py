@@ -8,23 +8,23 @@ from hypothesis import given, settings, strategies as st
 from pinasr.ctc import (
     DecoderConfig,
     EmissionMatrix,
-    InfeasibleLength,
     VocabularyMismatch,
     collapse_alignment,
     greedy_decode,
     log10addexp,
-    min_frames_required,
     prefix_beam_search,
     read_emissions,
-    sequence_logprob,
     write_emissions,
 )
 from pinasr.ngram_lm import train
 from reference_impls import (
+    InfeasibleLength,
     InstanceTooLarge,
     brute_force_decode,
     closure_prefix_beam_search,
     enumerate_ctc_distribution,
+    min_frames_required,
+    sequence_logprob,
 )
 
 NEG_INF = float("-inf")

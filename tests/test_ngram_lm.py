@@ -276,4 +276,6 @@ def test_out_of_vocabulary_token_without_unk_raises():
         model.score_token([BOS], "zz")
     with pytest.raises(OutOfVocabulary, match="'zz'"):
         model.score_token([], "zz")
+    with pytest.raises(OutOfVocabulary, match="'zz'"):
+        model.score_token(["zz"], "a")
     assert issubclass(OutOfVocabulary, ValueError)

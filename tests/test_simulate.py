@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from pinasr import assets
 from pinasr.cli import Pipeline, PipelineConfig
 from pinasr.corpus import build_parallel
-from pinasr.ctc import greedy_decode, sequence_logprob
+from pinasr.ctc import greedy_decode
 from pinasr.pinyin import InvalidSyllable
 from pinasr.simulate import POLICIES, SimConfig, confusion_map, synth_emissions
-from reference_impls import all_pairs_confusion_map, scalar_draw_synth_emissions
+from reference_impls import all_pairs_confusion_map, scalar_draw_synth_emissions, sequence_logprob
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
 

@@ -5,13 +5,12 @@ import pytest
 
 from pinasr import assets
 from pinasr.ngram_lm import NGramModel, train
+from pinasr.pinyin import PronunciationLexicon
 from pinasr.transcriber import (
     HomophoneLattice,
     NoCandidate,
     beam_transcribe,
-    build_lattice,
     build_lattice_lenient,
-    viterbi_transcribe,
 )
 from reference_impls import enumerate_lattice_best
 
@@ -50,17 +49,18 @@ def lexicon():
 
 
 def test_build_lattice_single_and_missing(lexicon):
-    lattice = build_lattice(["zhong1", "guo2"], lexicon, tonal=True)
+    lattice = build_lattice_lenient(["zhong1", "guo2"], lexicon, tonal=True)
     assert len(lattice) == 2
     assert all(lattice.positions)
+    lattice.check_exact()
     with pytest.raises(NoCandidate) as err:
-        build_lattice(["zhong1", "zhong2"], lexicon, tonal=True)  # no char reads zhong2
+        build_lattice_lenient(["zhong1", "zhong2"], lexicon, tonal=True).check_exact()  # no char reads zhong2
     assert err.value.position == 1
 
 
 def test_toneless_candidates_are_supersets(lexicon):
-    tonal = build_lattice(["zhong1", "shi4"], lexicon, tonal=True)
-    toneless = build_lattice(["zhong", "shi"], lexicon, tonal=False)
+    tonal = build_lattice_lenient(["zhong1", "shi4"], lexicon, tonal=True)
+    toneless = build_lattice_lenient(["zhong", "shi"], lexicon, tonal=False)
     for pos_t, pos_tl in zip(tonal.positions, toneless.positions):
         assert {c for c, _ in pos_t} <= {c for c, _ in pos_tl}
 
@@ -71,7 +71,7 @@ def test_forced_path_when_single_candidates():
         units=("u0", "u1"),
         positions=((("X", math.log10(0.5)),), (("Y", math.log10(0.25)),)),
     )
-    result = viterbi_transcribe(lattice, lm, channel_weight=2.0)
+    result = beam_transcribe(lattice, lm, channel_weight=2.0, beam_width=None)[0]
     assert result.hanzi == "XY"
     want = (
         lm.score_token(["<s>"], "X") + 2.0 * math.log10(0.5)
@@ -99,7 +99,7 @@ def test_bigram_preference_on_toy_lm():
         units=("u0", "u1"),
         positions=((("P", -0.1),), (("Q", -0.3), ("R", -0.3))),
     )
-    assert viterbi_transcribe(lattice, lm).hanzi == "PQ"
+    assert beam_transcribe(lattice, lm, beam_width=None)[0].hanzi == "PQ"
 
 
 def test_viterbi_equals_enumeration_seeded():
@@ -108,7 +108,7 @@ def test_viterbi_equals_enumeration_seeded():
         lm = random_lm(rng, order=int(rng.integers(1, 4)))
         lattice = random_lattice(rng)
         weight = float(rng.uniform(0.2, 2.0))
-        got = viterbi_transcribe(lattice, lm, weight)
+        got = beam_transcribe(lattice, lm, weight, beam_width=None)[0]
         want_chars, want_score = enumerate_lattice_best(lattice, lm, weight)
         assert got.hanzi == "".join(want_chars), trial
         assert got.total_score == pytest.approx(want_score, abs=1e-9)
@@ -120,7 +120,7 @@ def test_exhaustive_beam_equals_viterbi():
     for _ in range(25):
         lm = random_lm(rng, order=2)
         lattice = random_lattice(rng, max_positions=6, max_candidates=6)
-        exact = viterbi_transcribe(lattice, lm, 1.0)
+        exact = beam_transcribe(lattice, lm, 1.0, beam_width=None)[0]
         ranked = beam_transcribe(lattice, lm, 1.0, beam_width=10**6)
         assert ranked[0].hanzi == exact.hanzi
         assert ranked[0].total_score == pytest.approx(exact.total_score, abs=1e-12)
@@ -147,13 +147,12 @@ def test_beam_width_one_is_greedy_chain():
     assert results[0].hanzi == "".join(chars)
 
 
-def test_nbest_alternatives_attached():
+def test_nbest_list_bounded_by_beam_width():
     rng = np.random.default_rng(24)
     lm = random_lm(rng, order=2)
     lattice = random_lattice(rng, max_positions=4, max_candidates=4)
     ranked = beam_transcribe(lattice, lm, 1.0, beam_width=5)
-    assert ranked[0].alternatives is not None
-    assert len(ranked[0].alternatives) == len(ranked) - 1
+    assert 1 <= len(ranked) <= 5
     with pytest.raises(ValueError):
         beam_transcribe(lattice, lm, 1.0, beam_width=0)
 
@@ -164,6 +163,7 @@ def test_lenient_lattice_falls_back(lexicon):
     strict_fail = ["zhong1", "zhong2"]
     lattice = build_lattice_lenient(strict_fail, lexicon, tonal=True)
     assert len(lattice) == 2
+    assert lattice.fallbacks == (1,)
     toneless = {c for c, _ in lexicon.homophones("zhong", tonal=False)}
     assert {c for c, _ in lattice.positions[1]} == toneless
 
@@ -172,3 +172,24 @@ def test_lenient_lattice_last_resort(lexicon):
     # A segment with no lexicon characters at all still yields a candidate.
     lattice = build_lattice_lenient(["zhuai1"], lexicon, tonal=True)
     assert len(lattice.positions[0]) == 1
+    assert lattice.fallbacks == (0,)
+
+
+@pytest.mark.parametrize("tonal", [True, False], ids=["tonal", "toneless"])
+def test_fallbacks_are_the_units_without_homophones(lexicon, tonal):
+    # Strict transcription refuses exactly the positions the lattice falls back on.
+    inventory = assets.default_inventory()
+    units = sorted(inventory.tonal_units if tonal else inventory.toneless_units) + ["", "x9"]
+    lattice = build_lattice_lenient(units, lexicon, tonal=tonal)
+    assert len(lattice) == len(units)
+    want = tuple(i for i, unit in enumerate(units) if not lexicon.homophones(unit, tonal=tonal))
+    assert want and lattice.fallbacks == want
+    with pytest.raises(NoCandidate) as err:
+        lattice.check_exact()
+    assert (err.value.unit, err.value.position) == (units[want[0]], want[0])
+
+
+def test_empty_lexicon_has_no_fallback():
+    empty = PronunciationLexicon({})
+    with pytest.raises(NoCandidate, match="'zhong1' at position 0"):
+        build_lattice_lenient(["zhong1"], empty, tonal=True)
