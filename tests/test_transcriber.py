@@ -61,6 +61,8 @@ def test_build_lattice_single_and_missing(lexicon):
 def test_toneless_candidates_are_supersets(lexicon):
     tonal = build_lattice_lenient(["zhong1", "shi4"], lexicon, tonal=True)
     toneless = build_lattice_lenient(["zhong", "shi"], lexicon, tonal=False)
+    tonal.check_exact()
+    toneless.check_exact()
     for pos_t, pos_tl in zip(tonal.positions, toneless.positions):
         assert {c for c, _ in pos_t} <= {c for c, _ in pos_tl}
 
