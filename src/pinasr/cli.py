@@ -143,15 +143,21 @@ def _ref_lines(utterances) -> list[str]:
     return [f"utt_{i:04d}\t{hanzi}\t{' '.join(units)}" for i, (hanzi, units) in enumerate(utterances)]
 
 
+def check_config(config: PipelineConfig) -> None:
+    """Raise ConfigError for a ``unit_mode`` or ``confusion_policy`` outside
+    its choices; every command runs this before it loads or writes anything."""
+    if config.unit_mode not in ("tonal", "toneless"):
+        raise ConfigError(f"unit_mode must be tonal or toneless, got {config.unit_mode!r}")
+    if config.confusion_policy not in POLICIES:
+        raise ConfigError(f"confusion_policy must be one of {POLICIES}")
+
+
 class Pipeline:
     """One configuration's stages: the config is checked, the assets loaded
     and the unit alphabet fixed once, then used for every utterance."""
 
     def __init__(self, config: PipelineConfig):
-        if config.unit_mode not in ("tonal", "toneless"):
-            raise ConfigError(f"unit_mode must be tonal or toneless, got {config.unit_mode!r}")
-        if config.confusion_policy not in POLICIES:
-            raise ConfigError(f"confusion_policy must be one of {POLICIES}")
+        check_config(config)
         self.config = config
         self.tonal = config.unit_mode == "tonal"
         self.inventory = (SyllableInventory.from_file(_existing(config.inventory)) if config.inventory
@@ -380,7 +386,6 @@ def cmd_score(args, config: PipelineConfig) -> int:
         lines = _existing(path).read_text(encoding="utf-8").splitlines()
         return [list(l) if args.chars else l.split() for l in lines]
 
-    # The config is checked before anything is printed.
     inventory = Pipeline(config).inventory if args.tone_stripped else None
     refs, hyps = read_tokens(args.refs), read_tokens(args.hyps)
     report = metrics.error_rate(refs, hyps)
@@ -482,6 +487,7 @@ def main(argv=None) -> int:
         if args.command == "validate-assets":
             return cmd_validate_assets()
         config = make_config(args)
+        check_config(config)
         if args.command == "pipeline":
             return cmd_pipeline(config)
         return COMMANDS[args.command](args, config)

@@ -107,14 +107,8 @@ def build_parallel(
     return ParallelCorpus(pairs=pairs, source_tag=source_tag, skipped=skipped)
 
 
-def write_parallel_tsv(corpus: ParallelCorpus, sink) -> None:
-    """Write ``hanzi<TAB>space-joined-pinyin`` lines."""
-    for hanzi, pinyin in corpus.pairs:
-        sink.write(hanzi + "\t" + " ".join(str(s) for s in pinyin) + "\n")
-
-
 def read_parallel_tsv(source, inventory: SyllableInventory, source_tag: str = "tsv") -> ParallelCorpus:
-    """Read pairs written by :func:`write_parallel_tsv`; validates unit
+    """Read ``hanzi<TAB>space-joined-pinyin`` lines; validates unit
     membership and the length-equality invariant."""
     pairs: list[tuple[str, tuple[Syllable, ...]]] = []
     for lineno, raw in enumerate(source, 1):

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .corpus import EmptyCorpus
@@ -99,10 +101,6 @@ class NGramModel:
     prob_table: dict[tuple[str, ...], float]
     backoff_table: dict[tuple[str, ...], float]
 
-    @property
-    def prediction_vocabulary(self) -> frozenset[str]:
-        return self.vocabulary - {BOS}
-
     def _map(self, token: str) -> str:
         """``token`` if in the vocabulary, else ``<unk>``; a model without
         ``<unk>`` raises OutOfVocabulary naming the token."""
@@ -111,6 +109,38 @@ class NGramModel:
         if UNK in self.vocabulary:
             return UNK
         raise OutOfVocabulary(f"token {token!r} is not in the LM vocabulary, which has no {UNK}")
+
+    @cached_property
+    def _contexts(self) -> set[tuple[str, ...]]:
+        """Every context the tables store: the backoff keys and the n-gram
+        histories, closed under prefixes, plus ``()``. A stored tuple is
+        reused wherever one exists; only a missing prefix is allocated.
+        Built on the first ``state`` call, so the tables must not change
+        after it."""
+        stored = set(self.backoff_table)
+        stored.add(())
+        for gram in chain(self.backoff_table, self.prob_table):
+            prefix = gram[:-1]
+            while prefix not in stored:
+                stored.add(prefix)
+                prefix = prefix[:-1]
+        return stored
+
+    def state(self, context: Sequence[str]) -> tuple[str, ...]:
+        """The LM state of ``context``: its tokens mapped as ``score_token``
+        maps them, truncated to the last order-1, then stripped of leading
+        tokens until what is left is a stored context.
+
+        A context that is not stored has no n-gram and no backoff weight, so
+        ``score_token(state(h), w) == score_token(h, w)`` bit for bit; prefix
+        closure makes ``state(state(h) + (w,)) == state(h + (w,))``. Two
+        histories with one state therefore score every continuation alike.
+        """
+        ctx = tuple(self._map(t) for t in context[max(0, len(context) - self.order + 1):])
+        stored = self._contexts
+        while ctx not in stored:
+            ctx = ctx[1:]
+        return ctx
 
     def score_token(self, context: Sequence[str], token: str) -> float:
         """log10 P(token | context) by longest-match backoff.
@@ -134,29 +164,6 @@ class NGramModel:
                 return penalty + BOS_LOG10
             penalty += backoff.get(ctx, 0.0)
             ctx = ctx[1:]
-
-    def score_sequence(self, tokens: Sequence[str], include_eos: bool = True) -> float:
-        """Sum of token scores with begin padding, optionally ending in </s>."""
-        context: tuple[str, ...] = (BOS,)
-        total = 0.0
-        for token in tokens:
-            total += self.score_token(context, token)
-            context = (context + (self._map(token),))[-(self.order - 1):] if self.order > 1 else ()
-        if include_eos:
-            total += self.score_token(context, EOS)
-        return total
-
-    def perplexity(self, corpus: Sequence[Sequence[str]]) -> float:
-        """10^(-average log10 prob per token); end markers count toward the
-        denominator, begin markers do not."""
-        if not corpus:
-            raise EmptyCorpus("perplexity of an empty corpus")
-        total = 0.0
-        denom = 0
-        for sentence in corpus:
-            total += self.score_sequence(sentence, include_eos=True)
-            denom += len(sentence) + 1
-        return 10.0 ** (-total / denom)
 
 
 def train(
@@ -278,8 +285,8 @@ def write_arpa(model: NGramModel, sink) -> None:
 def read_arpa(source) -> NGramModel:
     """Parse ARPA text from the file object ``source`` back into a model;
     raises MalformedArpa with a line diagnostic on layout violations, on a
-    log10 probability that is NaN, infinite or above 0, and on a backoff
-    weight that is not finite."""
+    log10 probability that is NaN, infinite or above 0, on a backoff
+    weight that is not finite, and on an n-gram token with no unigram."""
     lines = source.read().splitlines()
     it = iter(enumerate(lines, 1))
 
@@ -357,4 +364,10 @@ def read_arpa(source) -> NGramModel:
                 f"\\{k}-grams: declares {expected} entries but {seen_per_order[k]} were read"
             )
     vocabulary = frozenset(g[0] for g in prob if len(g) == 1)
+    for gram in prob:
+        for token in gram:
+            if token not in vocabulary:
+                text = " ".join(gram)
+                lineno = next(n for n, line in enumerate(lines, 1) if line.split("\t")[1:2] == [text])
+                fail(lineno, f"n-gram {text!r} has token {token!r}, which has no unigram")
     return NGramModel(order=order, vocabulary=vocabulary, prob_table=prob, backoff_table=backoff)

@@ -7,8 +7,11 @@ decoder then finds the character path maximizing
 
 with the LM scored like a sentence (begin and end markers included).
 ``beam_transcribe`` keeps at most ``beam_width`` search states per position;
-with ``beam_width=None`` it keeps all and is the exact Viterbi search, since
-its state is the last order-1 characters, which is all the LM can see.
+with ``beam_width=None`` it keeps all and is the exact Viterbi search. Its
+state is the minimized LM state (``NGramModel.state``): the longest suffix
+of the last order-1 characters, out-of-vocabulary ones mapped to ``<unk>``,
+that the LM stores. That is all the LM can see, and paths the LM cannot
+tell apart share one state.
 
 Ties anywhere break toward the lexicographically smaller character
 sequence, so results are deterministic and enumeration-checkable.
@@ -105,7 +108,7 @@ def beam_transcribe(
     beam_width: int | None = 16,
 ) -> list[TranscriptionResult]:
     """Best lattice paths first (non-increasing scores): a DP over lattice
-    paths whose state is the LM context tuple.
+    paths whose state is the minimized LM state of the path so far.
 
     Keeping, per state, the single best (score, lexicographically smallest)
     prefix is exact because any two paths meeting in a state share their
@@ -114,17 +117,15 @@ def beam_transcribe(
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    ctx_len = char_lm.order - 1
     # state -> (score, prefix)
-    initial: tuple[str, ...] = (BOS,) if ctx_len else ()
-    states: dict[tuple[str, ...], tuple[float, tuple[str, ...]]] = {initial: (0.0, ())}
+    states: dict[tuple[str, ...], tuple[float, tuple[str, ...]]] = {char_lm.state((BOS,)): (0.0, ())}
     for candidates in lattice.positions:
         new_states: dict[tuple[str, ...], tuple[float, tuple[str, ...]]] = {}
         for ctx, (score, prefix) in states.items():
             for char, weight in candidates:
                 gained = char_lm.score_token(ctx, char) + channel_weight * weight
                 entry = (score + gained, prefix + (char,))
-                new_ctx = (ctx + (char,))[-ctx_len:] if ctx_len else ()
+                new_ctx = char_lm.state(ctx + (char,))
                 held = new_states.get(new_ctx)
                 if held is None or entry[0] > held[0] or (entry[0] == held[0] and entry[1] < held[1]):
                     new_states[new_ctx] = entry

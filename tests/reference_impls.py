@@ -18,9 +18,11 @@ from pinasr.ctc import (
     VocabularyMismatch,
     log10addexp,
 )
-from pinasr.ngram_lm import BOS, NGramModel
+from pinasr.corpus import EmptyCorpus
+from pinasr.ngram_lm import BOS, EOS, NGramModel
 from pinasr.pinyin import InvalidSyllable, split_segment
 from pinasr.simulate import _BLANK_LEAK, _CONFUSION_LEAK, _JITTER, confusion_map
+from pinasr.transcriber import TranscriptionResult
 
 
 def recursive_edit_distance(ref, hyp) -> int:
@@ -130,6 +132,34 @@ def enumerate_lattice_best(lattice, model, channel_weight):
         if best_score is None or score > best_score or (score == best_score and chars < best_chars):
             best_score, best_chars = score, chars
     return best_chars, best_score
+
+
+def raw_state_beam_transcribe(lattice, char_lm, channel_weight=1.0, beam_width=16):
+    """The transcriber search keyed by the raw last order-1 characters
+    instead of the minimized LM state: the same DP, more states."""
+    if beam_width is not None and beam_width < 1:
+        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+    ctx_len = char_lm.order - 1
+    # state -> (score, prefix)
+    initial = (BOS,) if ctx_len else ()
+    states = {initial: (0.0, ())}
+    for candidates in lattice.positions:
+        new_states = {}
+        for ctx, (score, prefix) in states.items():
+            for char, weight in candidates:
+                gained = char_lm.score_token(ctx, char) + channel_weight * weight
+                entry = (score + gained, prefix + (char,))
+                new_ctx = (ctx + (char,))[-ctx_len:] if ctx_len else ()
+                held = new_states.get(new_ctx)
+                if held is None or entry[0] > held[0] or (entry[0] == held[0] and entry[1] < held[1]):
+                    new_states[new_ctx] = entry
+        if beam_width is not None and len(new_states) > beam_width:
+            ranked = sorted(new_states.items(), key=lambda item: (-item[1][0], item[1][1]))
+            new_states = dict(ranked[:beam_width])
+        states = new_states
+    finals = [(score + char_lm.score_token(ctx, EOS), prefix) for ctx, (score, prefix) in states.items()]
+    finals.sort(key=lambda item: (-item[0], item[1]))
+    return [TranscriptionResult(hanzi="".join(prefix), total_score=score) for score, prefix in finals]
 
 
 def parse_arpa_text(text):
@@ -261,7 +291,7 @@ def brute_force_decode(
             labels = tuple(emissions.unit_labels[u] for u in combo)
             score = sequence_logprob(emissions, labels)
             if alpha != 0.0:
-                score += alpha * lm.score_sequence(labels, include_eos=False)
+                score += alpha * score_sequence(lm, labels, include_eos=False)
             score += beta * length
             if best_labels is None or score > best_score or (score == best_score and labels < best_labels):
                 best_labels = labels
@@ -420,3 +450,42 @@ def scalar_draw_synth_emissions(pinyin, alphabet, config):
     with np.errstate(divide="ignore"):
         log_probs = np.log10(np.vstack(rows))
     return EmissionMatrix(log_probs=log_probs, unit_labels=alphabet, blank_index=blank)
+
+
+# Helpers only the tests use.
+
+
+def prediction_vocabulary(model: NGramModel) -> frozenset[str]:
+    """The tokens the model predicts: its vocabulary without the begin marker."""
+    return model.vocabulary - {BOS}
+
+
+def score_sequence(model: NGramModel, tokens, include_eos: bool = True) -> float:
+    """Sum of token scores with begin padding, optionally ending in </s>."""
+    context = (BOS,)
+    total = 0.0
+    for token in tokens:
+        total += model.score_token(context, token)
+        context = (context + (model._map(token),))[-(model.order - 1):] if model.order > 1 else ()
+    if include_eos:
+        total += model.score_token(context, EOS)
+    return total
+
+
+def perplexity(model: NGramModel, corpus) -> float:
+    """10^(-average log10 prob per token); end markers count toward the
+    denominator, begin markers do not."""
+    if not corpus:
+        raise EmptyCorpus("perplexity of an empty corpus")
+    total = 0.0
+    denom = 0
+    for sentence in corpus:
+        total += score_sequence(model, sentence, include_eos=True)
+        denom += len(sentence) + 1
+    return 10.0 ** (-total / denom)
+
+
+def write_parallel_tsv(corpus, sink) -> None:
+    """Write ``hanzi<TAB>space-joined-pinyin`` lines."""
+    for hanzi, pinyin in corpus.pairs:
+        sink.write(hanzi + "\t" + " ".join(str(s) for s in pinyin) + "\n")

@@ -28,6 +28,7 @@ from reference_impls import (
     brute_force_decode,
     enumerate_lattice_best,
     min_frames_required,
+    prediction_vocabulary,
     recursive_edit_distance,
     sequence_logprob,
 )
@@ -102,7 +103,7 @@ def test_criterion_3_lm_well_formedness():
             for context in [()] + sorted(model.backoff_table):
                 total = sum(
                     10.0 ** model.score_token(context, token)
-                    for token in model.prediction_vocabulary
+                    for token in prediction_vocabulary(model)
                 )
                 assert abs(total - 1.0) <= 1e-6, (order, context, total)
                 contexts_checked += 1

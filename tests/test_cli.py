@@ -210,20 +210,29 @@ def test_validate_assets_command(capsys):
         ("transcribe", "--unit-mode", "Tonal", "--char-lm", "char.arpa"),
         ("stats", "--unit-mode", "Tonal"),
         ("score", "--confusion-policy", "bogus", "--tone-stripped"),
+        ("decode", "--unit-mode", "Tonal"),
+        ("score", "--confusion-policy", "bogus"),
+        ("train-lm", "--unit-mode", "Tonal"),
     ],
     ids=["synth-unit-mode", "synth-confusion-policy", "pipeline-unit-mode", "transcribe-unit-mode",
-         "stats-unit-mode", "score-confusion-policy"],
+         "stats-unit-mode", "score-confusion-policy", "decode-unit-mode", "score-plain-confusion-policy",
+         "train-lm-unit-mode"],
 )
 def test_bad_unit_mode_or_confusion_policy_exits_2_and_writes_nothing(tmp_path, small_corpus, capsys, argv):
     extra = {
         "transcribe": ["--input", str(small_corpus)],
         "score": ["--refs", str(small_corpus), "--hyps", str(small_corpus)],
+        "decode": ["--emissions", str(tmp_path / "em")],
+        "train-lm": ["--corpus", str(small_corpus), "--out", str(tmp_path / "lm.arpa")],
     }.get(argv[0], ["--eval-corpus", str(small_corpus)])
+    if argv[0] == "decode":
+        # Real emission files, so only the config check can fail the decode.
+        assert run(capsys, "synth", "--eval-corpus", str(small_corpus), "--out-dir", str(tmp_path / "em"))[0] == 0
     out_dir = tmp_path / "out"
     code, out, err = run(capsys, *argv, *extra, "--out-dir", str(out_dir))
     assert code == 2
     assert argv[1][2:].replace("-", "_") in err
-    assert out == "" and not out_dir.exists()
+    assert out == "" and not out_dir.exists() and not (tmp_path / "lm.arpa").exists()
 
 
 def write_sentences(path, sentences):

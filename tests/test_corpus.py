@@ -10,8 +10,8 @@ from pinasr.corpus import (
     filter_sentences,
     normalize_hanzi,
     read_parallel_tsv,
-    write_parallel_tsv,
 )
+from reference_impls import write_parallel_tsv
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,14 @@ from pinasr.ngram_lm import (
     UNK,
     InvalidDiscount,
     MalformedArpa,
+    NGramModel,
     OutOfVocabulary,
     _count_ngrams,
     read_arpa,
     train,
     write_arpa,
 )
-from reference_impls import arpa_perplexity
+from reference_impls import arpa_perplexity, perplexity, prediction_vocabulary
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
 
@@ -61,9 +63,9 @@ def test_stored_probabilities_nonpositive(hand_model):
 
 def test_unigram_normalization_single_sentence():
     model = train([["a"]], order=1, discount=0.5)
-    total = sum(linear(model, [], t) for t in model.prediction_vocabulary)
+    total = sum(linear(model, [], t) for t in prediction_vocabulary(model))
     assert total == pytest.approx(1.0, abs=1e-12)
-    assert model.prediction_vocabulary == {"a", EOS, UNK}
+    assert prediction_vocabulary(model) == {"a", EOS, UNK}
 
 
 @given(SENTENCES, st.integers(1, 4), st.floats(0.1, 0.9))
@@ -72,7 +74,7 @@ def test_every_stored_context_normalizes(corpus, order, discount):
     model = train(corpus, order=order, discount=discount)
     contexts = [()] + sorted(model.backoff_table)
     for context in contexts:
-        total = sum(linear(model, context, t) for t in model.prediction_vocabulary)
+        total = sum(linear(model, context, t) for t in prediction_vocabulary(model))
         assert total == pytest.approx(1.0, abs=1e-6), context
 
 
@@ -96,7 +98,7 @@ def test_unknown_tokens_map_to_unk(hand_model):
 def test_closed_vocabulary_gives_unseen_tokens_mass():
     model = train([["a", "b"]], order=2, discount=0.5, vocabulary=["a", "b", "c"])
     assert linear(model, [], "c") > 0
-    total = sum(linear(model, [], t) for t in model.prediction_vocabulary)
+    total = sum(linear(model, [], t) for t in prediction_vocabulary(model))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -130,11 +132,11 @@ def test_count_table_prefix_closure():
 
 def test_perplexity_bounds_and_fixture():
     model = train([["a"]], order=1, discount=0.5)
-    assert model.perplexity([["a"]]) <= len(model.prediction_vocabulary)
+    assert perplexity(model, [["a"]]) <= len(prediction_vocabulary(model))
 
     fx = PINNED["perplexity"]
     model = train(fx["train"], order=fx["order"], discount=fx["discount"])
-    got = model.perplexity(fx["eval"])
+    got = perplexity(model, fx["eval"])
     assert got == pytest.approx(fx["value"], abs=1e-9)
     # independent check straight off the ARPA text
     buf = io.StringIO()
@@ -142,19 +144,17 @@ def test_perplexity_bounds_and_fixture():
     independent = arpa_perplexity(buf.getvalue(), model.order, fx["eval"])
     assert got == pytest.approx(independent, abs=1e-9)
     with pytest.raises(EmptyCorpus):
-        model.perplexity([])
+        perplexity(model, [])
 
 
 def test_uniform_model_perplexity_is_vocab_size():
-    from pinasr.ngram_lm import NGramModel
-
     tokens = ("a", "b", "c", EOS)
     prob = {(t,): math.log10(1 / len(tokens)) for t in tokens}
     prob[(BOS,)] = -99.0
     model = NGramModel(
         order=1, vocabulary=frozenset(tokens) | {BOS}, prob_table=prob, backoff_table={}
     )
-    assert model.perplexity([["a", "b"], ["c"]]) == pytest.approx(len(tokens), abs=1e-9)
+    assert perplexity(model, [["a", "b"], ["c"]]) == pytest.approx(len(tokens), abs=1e-9)
 
 
 def test_perplexity_improves_as_data_doubles():
@@ -173,7 +173,7 @@ def test_perplexity_improves_as_data_doubles():
         pairs = build_parallel(sentences[:size], lexicon, "t")
         corpus = [[str(s) for s in py] for _, py in pairs.pairs]
         model = train(corpus, order=3, discount=0.6, vocabulary=vocabulary)
-        perplexities.append(model.perplexity(heldout_tokens))
+        perplexities.append(perplexity(model, heldout_tokens))
     assert all(b <= a + 1e-9 for a, b in zip(perplexities, perplexities[1:])), perplexities
 
 
@@ -279,3 +279,113 @@ def test_out_of_vocabulary_token_without_unk_raises():
     with pytest.raises(OutOfVocabulary, match="'zz'"):
         model.score_token(["zz"], "a")
     assert issubclass(OutOfVocabulary, ValueError)
+
+
+@pytest.mark.parametrize("old, new, line, token", [
+    ("-0.2\ta </s>", "-0.2\ta zz", 13, "zz"),
+    ("-0.1\t<s> a", "-0.1\tzz a", 12, "zz"),
+], ids=["last-token", "context-token"])
+def test_read_arpa_rejects_ngram_token_without_unigram(old, new, line, token):
+    # No query reaches such an n-gram: its token would map to <unk> or raise.
+    text = BIGRAM_ARPA.replace(old, new)
+    assert text != BIGRAM_ARPA
+    with pytest.raises(MalformedArpa, match=f"^line {line}: .*{token!r}.*no unigram"):
+        read_arpa(io.StringIO(text))
+
+
+# Minimized LM state (NGramModel.state): random models, trained and read
+# from ARPA text, with and without <unk>, and contexts with unknown tokens.
+
+MODEL_TOKENS = ("a", "b", "c")
+QUERY_TOKENS = (*MODEL_TOKENS, "z", BOS, EOS, UNK)   # "z" is out of every model's vocabulary
+
+
+@st.composite
+def trained_models(draw):
+    corpus = draw(st.lists(st.lists(st.sampled_from("abcz"), max_size=6), min_size=1, max_size=6))
+    order = draw(st.integers(1, 4))
+    closed = draw(st.booleans())
+    return train(corpus, order=order, discount=draw(st.floats(0.1, 0.9)),
+                 min_count=draw(st.integers(1, 2)), vocabulary=MODEL_TOKENS if closed else None)
+
+
+@st.composite
+def arpa_models(draw):
+    """ARPA text with arbitrary n-grams and backoff weights, so histories
+    may lack their prefixes and stored contexts their backoff weights."""
+    order = draw(st.integers(1, 4))
+    vocabulary = [*MODEL_TOKENS, BOS, EOS] + ([UNK] if draw(st.booleans()) else [])
+    grams = [(t,) for t in vocabulary]
+    if order > 1:
+        grams += draw(st.lists(
+            st.lists(st.sampled_from(vocabulary), min_size=order, max_size=order).map(tuple)
+            | st.lists(st.sampled_from(vocabulary), min_size=2, max_size=order).map(tuple),
+            unique=True, max_size=12,
+        ))
+    logprob = st.floats(-3.0, 0.0)
+    prob = {gram: draw(logprob) for gram in grams}
+    backoff = {gram: draw(st.floats(-2.0, 1.0)) for gram in grams if draw(st.booleans())}
+    buf = io.StringIO()
+    write_arpa(NGramModel(order, frozenset(vocabulary), prob, backoff), buf)
+    return read_arpa(io.StringIO(buf.getvalue()))
+
+
+LM_MODELS = st.one_of(trained_models(), arpa_models())
+
+
+def outcome(call):
+    """The call's value, or the exception type it raised for an unknown token."""
+    try:
+        return call()
+    except OutOfVocabulary:
+        return OutOfVocabulary
+
+
+def check_state(model, context, token):
+    full = outcome(lambda: model.score_token(context, token))
+    state = outcome(lambda: model.state(context))
+    if UNK not in model.vocabulary and "z" in [*context[max(0, len(context) - model.order + 1):], token]:
+        assert full is OutOfVocabulary
+    if state is OutOfVocabulary:
+        assert full is OutOfVocabulary
+        return
+    assert outcome(lambda: model.score_token(state, token)) == full
+    assert outcome(lambda: model.state(state + (token,))) == outcome(lambda: model.state((*context, token)))
+
+
+@given(LM_MODELS, st.lists(st.sampled_from(QUERY_TOKENS), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_state_scores_like_the_full_context(model, lead):
+    # Each context ends in part of a stored n-gram, so the checks reach the
+    # stored contexts and the prefixes between them.
+    for stem in chain(model.prob_table, model.backoff_table):
+        for cut in range(len(stem)):
+            for token in (stem[cut], *QUERY_TOKENS):
+                check_state(model, [*lead, *stem[:cut]], token)
+
+
+def test_state_closes_missing_prefixes():
+    # The trigram a b c is stored without a bigram or backoff weight for
+    # "a b", and nothing is stored after "a": the state after "x a" must
+    # still be ("a",) so that "b" can reach the trigram's history.
+    text = (
+        "\\data\\\nngram 1=6\nngram 2=0\nngram 3=1\n\n"
+        "\\1-grams:\n-0.7\t</s>\n-99.0\t<s>\n-0.6\t<unk>\n-0.5\ta\n-0.5\tb\n-0.5\tc\n\n"
+        "\\2-grams:\n\n\\3-grams:\n-0.1\ta b c\n\n\\end\\\n"
+    )
+    model = read_arpa(io.StringIO(text))
+    assert model.state(["x", "a"]) == ("a",)
+    assert model.state(["x", "a", "b"]) == ("a", "b")
+    assert model.state(["a", "b", "b"]) == ()
+    assert model.state(model.state(["x", "a"]) + ("b",)) == model.state(["x", "a", "b"])
+    assert model.score_token(model.state(["x", "a", "b"]), "c") == -0.1
+    assert train([["a"]], order=1).state(["a", "zz"]) == ()
+
+
+def test_trained_model_contexts_are_its_backoff_keys():
+    # A trained model is already prefix-closed: its stored contexts are its
+    # backoff keys and (), and the set holds the very key tuples.
+    model = train([["a", "b", "c", "a"], ["b", "a"]], order=4, discount=0.6)
+    contexts = model._contexts
+    assert contexts == set(model.backoff_table) | {()}
+    assert {id(c) for c in contexts} == {id(k) for k in model.backoff_table} | {id(())}

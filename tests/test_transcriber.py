@@ -1,10 +1,13 @@
+import io
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinasr import assets
-from pinasr.ngram_lm import NGramModel, train
+from pinasr.ngram_lm import UNK, NGramModel, OutOfVocabulary, read_arpa, train
 from pinasr.pinyin import PronunciationLexicon
 from pinasr.transcriber import (
     HomophoneLattice,
@@ -12,7 +15,8 @@ from pinasr.transcriber import (
     beam_transcribe,
     build_lattice_lenient,
 )
-from reference_impls import enumerate_lattice_best
+from reference_impls import enumerate_lattice_best, raw_state_beam_transcribe
+from test_ngram_lm import BIGRAM_ARPA, LM_MODELS, outcome
 
 ALPHABET = list("ABCDEFGHIJ")
 
@@ -128,6 +132,48 @@ def test_exhaustive_beam_equals_viterbi():
         assert ranked[0].total_score == pytest.approx(exact.total_score, abs=1e-12)
         scores = [r.total_score for r in ranked]
         assert scores == sorted(scores, reverse=True)
+
+
+@st.composite
+def models_and_lattices(draw):
+    """A test model and a lattice over its tokens and two characters no
+    model knows ("y", "z"; ``<unk>`` in the model is written "z"). One path
+    spells a stored n-gram, at no channel cost, so the search meets the
+    model's stored contexts and the prefixes between them."""
+    model = draw(LM_MODELS)
+    stems = sorted(g for g in chain(model.prob_table, model.backoff_table)
+                   if len(g) > 1 and set(g) <= {"a", "b", "c", UNK})
+    stem = ["z" if t == UNK else t for t in draw(st.sampled_from(stems))] if stems else []
+    lead = draw(st.lists(st.sampled_from("abcyz"), max_size=2))
+    tail = draw(st.lists(st.sampled_from("abcyz"), max_size=1))
+    positions = []
+    for char in (*lead, *stem, *tail) or "a":
+        others = draw(st.lists(st.sampled_from("abcyz"), max_size=3, unique=True))
+        weights = {c: draw(st.floats(-2.0, 0.0)) for c in others if c != char}
+        positions.append(tuple(sorted({char: 0.0, **weights}.items())))
+    lattice = HomophoneLattice(units=tuple(f"u{i}" for i in range(len(positions))), positions=tuple(positions))
+    return model, lattice
+
+
+@given(models_and_lattices(), st.floats(0.2, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_minimized_state_search_equals_raw_state_search(model_and_lattice, weight):
+    # Paths the LM cannot tell apart share one state, so the exact search
+    # finds the raw-state search's rank 1: the same Hanzi and the same score.
+    model, lattice = model_and_lattice
+    got = outcome(lambda: beam_transcribe(lattice, model, weight, beam_width=None)[0])
+    assert got == outcome(lambda: raw_state_beam_transcribe(lattice, model, weight, beam_width=None)[0])
+
+
+def test_unknown_character_without_unk_raises():
+    # The minimized state maps characters as score_token does, so a model
+    # without <unk> still refuses a character outside its vocabulary.
+    text = BIGRAM_ARPA.replace("-0.4\t<unk>\n", "").replace("ngram 1=4", "ngram 1=3")
+    model = read_arpa(io.StringIO(text))
+    lattice = HomophoneLattice(units=("u0", "u1"), positions=((("a", 0.0),), (("a", 0.0), ("zz", 0.0))))
+    for search in (beam_transcribe, raw_state_beam_transcribe):
+        with pytest.raises(OutOfVocabulary, match="'zz'"):
+            search(lattice, model, 1.0, beam_width=None)
 
 
 def test_beam_width_one_is_greedy_chain():
