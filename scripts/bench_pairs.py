@@ -3,12 +3,13 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --seeds 5 --out BENCH.json
 
-PARENT_DIR and CHANGE_DIR are two checkouts. For every workload and seed,
+PARENT_DIR and CHANGE_DIR are two git checkouts. For every workload and seed,
 ``bench/run.py --trace 0`` runs once in each, one after the other; the side
 that goes first alternates from seed to seed, so a slow or fast period of
 the host falls on both sides alike. Then one ``--trace 1`` run per workload
-on the change gives its per-layer figures. Every run's details and result
-lines go into the output JSON, with a per-workload summary of the
+on the change gives its per-layer figures. The benchmark fixes each run's
+length. Every run's details and result lines go into the output JSON,
+under each side's git commit, with a per-workload summary of the
 end-to-end metrics: the medians of both sides, the quartiles of the
 parent's runs and how many pairs the change won.
 """
@@ -26,19 +27,15 @@ WORKLOADS = ("tonal-lm", "toneless-nolm", "em-roundtrip")
 TRACE_SEED = 3   # the workload seed of the traced runs
 
 
-def label(checkout: Path, given: str | None) -> str:
-    """``given``, else the checkout's git commit, else its directory name."""
-    if given:
-        return given
-    commit = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
-                            capture_output=True, text=True)
-    return commit.stdout.strip() if commit.returncode == 0 else checkout.name
+def commit(checkout: Path) -> str:
+    """The checkout's git commit, abbreviated."""
+    return subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
-def bench(checkout: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
+def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``bench/run.py`` run; its details and result lines, parsed."""
-    argv = ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--trace", str(trace), "--seconds", str(seconds)]
+    argv = ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     run = {"workload": workload, "seed": seed, "trace": trace, "returncode": proc.returncode}
     lines = proc.stdout.splitlines()
@@ -82,10 +79,6 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--seeds", type=int, default=5, help="workload seeds 1..N per workload")
-    parser.add_argument("--seconds", type=float, default=40.0, help="measuring time per run")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--parent-label")
-    parser.add_argument("--change-label")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.seeds < 1:
@@ -95,12 +88,8 @@ def main(argv=None) -> int:
         if not (checkout / "bench" / "run.py").is_file():
             parser.error(f"{side}: no bench/run.py under {checkout}")
 
-    record = {
-        "parent": label(checkouts["parent"], args.parent_label),
-        "change": label(checkouts["change"], args.change_label),
-        "seconds": args.seconds,
-        "runs": [],
-    }
+    record = {side: commit(checkout) for side, checkout in checkouts.items()}
+    record["runs"] = []
 
     def keep(side: str, run: dict) -> None:
         run["side"] = side
@@ -109,14 +98,13 @@ def main(argv=None) -> int:
         status = "ok" if "result" in run and run["result"]["correct"] else "FAILED"
         print(f"{run['workload']} seed {run['seed']} trace {run['trace']} {side}: {status}", flush=True)
 
-    workloads = args.workloads.split(",")
-    for workload in workloads:
+    for workload in WORKLOADS:
         for seed in range(1, args.seeds + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                keep(side, bench(checkouts[side], workload, seed, 0, args.seconds))
-    for workload in workloads:
-        keep("change", bench(checkouts["change"], workload, TRACE_SEED, 1, args.seconds))
+                keep(side, bench(checkouts[side], workload, seed, 0))
+    for workload in WORKLOADS:
+        keep("change", bench(checkouts["change"], workload, TRACE_SEED, 1))
 
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     record["summary"] = summarize(record["runs"], spec["end_to_end"])

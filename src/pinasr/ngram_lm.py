@@ -142,6 +142,17 @@ class NGramModel:
             ctx = ctx[1:]
         return ctx
 
+    def next_state(self, state: tuple[str, ...], token: str) -> tuple[str, ...]:
+        """``self.state(state + (token,))`` for a ``state`` that this model
+        returned: its tokens are mapped already, so only ``token`` is."""
+        if self.order == 1:
+            return ()
+        ctx = (*state[max(0, len(state) + 2 - self.order):], self._map(token))
+        stored = self._contexts
+        while ctx not in stored:
+            ctx = ctx[1:]
+        return ctx
+
     def score_token(self, context: Sequence[str], token: str) -> float:
         """log10 P(token | context) by longest-match backoff.
 
@@ -150,7 +161,9 @@ class NGramModel:
         raise OutOfVocabulary in a model without ``<unk>``.
         """
         word = self._map(token)
-        ctx = tuple(self._map(t) for t in context[max(0, len(context) - self.order + 1):])
+        ctx = context[max(0, len(context) - self.order + 1):]
+        # A context of known tokens (a state, say) needs no mapping.
+        ctx = tuple(ctx if self.vocabulary.issuperset(ctx) else map(self._map, ctx))
         prob = self.prob_table
         backoff = self.backoff_table
         penalty = 0.0

@@ -114,6 +114,9 @@ def beam_transcribe(
     prefix is exact because any two paths meeting in a state share their
     future scores. At most ``beam_width`` states survive each position;
     ``beam_width=None`` prunes none, so rank 1 is the exact Viterbi argmax.
+    Only that exact search is bound to find what a search keyed by the raw
+    last order-1 characters finds: a pruned beam keeps ``beam_width``
+    distinct LM states, so other paths may survive than in the raw one.
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
@@ -125,7 +128,7 @@ def beam_transcribe(
             for char, weight in candidates:
                 gained = char_lm.score_token(ctx, char) + channel_weight * weight
                 entry = (score + gained, prefix + (char,))
-                new_ctx = char_lm.state(ctx + (char,))
+                new_ctx = char_lm.next_state(ctx, char)
                 held = new_states.get(new_ctx)
                 if held is None or entry[0] > held[0] or (entry[0] == held[0] and entry[1] < held[1]):
                     new_states[new_ctx] = entry

@@ -134,11 +134,10 @@ def enumerate_lattice_best(lattice, model, channel_weight):
     return best_chars, best_score
 
 
-def raw_state_beam_transcribe(lattice, char_lm, channel_weight=1.0, beam_width=16):
-    """The transcriber search keyed by the raw last order-1 characters
-    instead of the minimized LM state: the same DP, more states."""
-    if beam_width is not None and beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+def raw_state_beam_transcribe(lattice, char_lm, channel_weight=1.0):
+    """The exact transcriber search keyed by the raw last order-1
+    characters instead of the minimized LM state: the same DP, more
+    states, none pruned."""
     ctx_len = char_lm.order - 1
     # state -> (score, prefix)
     initial = (BOS,) if ctx_len else ()
@@ -153,9 +152,6 @@ def raw_state_beam_transcribe(lattice, char_lm, channel_weight=1.0, beam_width=1
                 held = new_states.get(new_ctx)
                 if held is None or entry[0] > held[0] or (entry[0] == held[0] and entry[1] < held[1]):
                     new_states[new_ctx] = entry
-        if beam_width is not None and len(new_states) > beam_width:
-            ranked = sorted(new_states.items(), key=lambda item: (-item[1][0], item[1][1]))
-            new_states = dict(ranked[:beam_width])
         states = new_states
     finals = [(score + char_lm.score_token(ctx, EOS), prefix) for ctx, (score, prefix) in states.items()]
     finals.sort(key=lambda item: (-item[0], item[1]))

@@ -350,7 +350,9 @@ def check_state(model, context, token):
         assert full is OutOfVocabulary
         return
     assert outcome(lambda: model.score_token(state, token)) == full
-    assert outcome(lambda: model.state(state + (token,))) == outcome(lambda: model.state((*context, token)))
+    following = outcome(lambda: model.state((*context, token)))
+    assert outcome(lambda: model.state(state + (token,))) == following
+    assert outcome(lambda: model.next_state(state, token)) == following
 
 
 @given(LM_MODELS, st.lists(st.sampled_from(QUERY_TOKENS), max_size=3))
@@ -378,8 +380,11 @@ def test_state_closes_missing_prefixes():
     assert model.state(["x", "a", "b"]) == ("a", "b")
     assert model.state(["a", "b", "b"]) == ()
     assert model.state(model.state(["x", "a"]) + ("b",)) == model.state(["x", "a", "b"])
+    assert model.next_state(("a",), "b") == ("a", "b")
+    assert model.next_state(("a", "b"), "b") == ()
     assert model.score_token(model.state(["x", "a", "b"]), "c") == -0.1
     assert train([["a"]], order=1).state(["a", "zz"]) == ()
+    assert train([["a"]], order=1).next_state((), "zz") == ()
 
 
 def test_trained_model_contexts_are_its_backoff_keys():

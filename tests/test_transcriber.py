@@ -162,7 +162,7 @@ def test_minimized_state_search_equals_raw_state_search(model_and_lattice, weigh
     # finds the raw-state search's rank 1: the same Hanzi and the same score.
     model, lattice = model_and_lattice
     got = outcome(lambda: beam_transcribe(lattice, model, weight, beam_width=None)[0])
-    assert got == outcome(lambda: raw_state_beam_transcribe(lattice, model, weight, beam_width=None)[0])
+    assert got == outcome(lambda: raw_state_beam_transcribe(lattice, model, weight)[0])
 
 
 def test_unknown_character_without_unk_raises():
@@ -171,9 +171,10 @@ def test_unknown_character_without_unk_raises():
     text = BIGRAM_ARPA.replace("-0.4\t<unk>\n", "").replace("ngram 1=4", "ngram 1=3")
     model = read_arpa(io.StringIO(text))
     lattice = HomophoneLattice(units=("u0", "u1"), positions=((("a", 0.0),), (("a", 0.0), ("zz", 0.0))))
-    for search in (beam_transcribe, raw_state_beam_transcribe):
-        with pytest.raises(OutOfVocabulary, match="'zz'"):
-            search(lattice, model, 1.0, beam_width=None)
+    with pytest.raises(OutOfVocabulary, match="'zz'"):
+        beam_transcribe(lattice, model, 1.0, beam_width=None)
+    with pytest.raises(OutOfVocabulary, match="'zz'"):
+        raw_state_beam_transcribe(lattice, model, 1.0)
 
 
 def test_beam_width_one_is_greedy_chain():
