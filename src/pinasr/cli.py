@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -145,11 +146,17 @@ def _ref_lines(utterances) -> list[str]:
 
 def check_config(config: PipelineConfig) -> None:
     """Raise ConfigError for a ``unit_mode`` or ``confusion_policy`` outside
-    its choices; every command runs this before it loads or writes anything."""
+    its choices, an LM order outside [1, MAX_ORDER] or an ``lm_discount``
+    outside (0, 1); every command runs this before it loads or writes anything."""
     if config.unit_mode not in ("tonal", "toneless"):
         raise ConfigError(f"unit_mode must be tonal or toneless, got {config.unit_mode!r}")
     if config.confusion_policy not in POLICIES:
         raise ConfigError(f"confusion_policy must be one of {POLICIES}")
+    for key in ("pinyin_lm_order", "char_lm_order"):
+        if not 1 <= getattr(config, key) <= ngram_lm.MAX_ORDER:
+            raise ConfigError(f"{key} must be in [1, {ngram_lm.MAX_ORDER}], got {getattr(config, key)}")
+    if not 0.0 < config.lm_discount < 1.0:
+        raise ConfigError(f"lm_discount must be in (0, 1), got {config.lm_discount}")
 
 
 class Pipeline:
@@ -162,7 +169,9 @@ class Pipeline:
         self.tonal = config.unit_mode == "tonal"
         self.inventory = (SyllableInventory.from_file(_existing(config.inventory)) if config.inventory
                           else assets.default_inventory())
-        self.lexicon = (PronunciationLexicon.from_file(_existing(config.lexicon), self.inventory) if config.lexicon
+        # A configured inventory checks the bundled lexicon too.
+        lexicon = _existing(config.lexicon) if config.lexicon else assets.data_path("lexicon.tsv")
+        self.lexicon = (PronunciationLexicon.from_file(lexicon, self.inventory) if config.lexicon or config.inventory
                         else assets.default_lexicon())
         self.alphabet = tuple(sorted(self.inventory.tonal_units if self.tonal else self.inventory.toneless_units))
 
@@ -185,11 +194,18 @@ class Pipeline:
                         seed=c.seed + index)
         return synth_emissions(units, self.alphabet, sim)
 
-    def lm(self, path: str, corpus, order: int, vocabulary=None) -> NGramModel:
-        """The ARPA model at ``path``; with no path, one trained on ``corpus``."""
-        if path:
-            return _read_arpa(path)
-        return ngram_lm.train(corpus, order, self.config.lm_discount, self.config.min_count, vocabulary)
+    def lms(self) -> tuple[NGramModel | None, NGramModel]:
+        """The unit LM (None with ``use_pinyin_lm`` off) and the char LM, each
+        read from its ARPA path or else trained on the train corpus's
+        utterances; the unit LM is closed over the unit alphabet."""
+        c = self.config
+        train = self.utterances(c.train_corpus, "corpus_train.txt", "train")
+
+        def lm(path: str, corpus, order: int, vocabulary=None) -> NGramModel:
+            return _read_arpa(path) if path else ngram_lm.train(corpus, order, c.lm_discount, c.min_count, vocabulary)
+
+        unit_lm = lm(c.pinyin_lm, [u for _, u in train], c.pinyin_lm_order, self.alphabet) if c.use_pinyin_lm else None
+        return unit_lm, lm(c.char_lm, [list(h) for h, _ in train], c.char_lm_order)
 
     def transcribe(self, units: list[str], char_lm: NGramModel, lenient: bool = True):
         """The best Hanzi reading; without ``lenient``, a lattice fallback
@@ -229,16 +245,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Synthesize (or ingest), decode, transcribe and score every eval
     utterance. A failing utterance raises ValueError naming its stage."""
     pipe = Pipeline(config)
-    train = pipe.utterances(config.train_corpus, "corpus_train.txt", "train")
     evals = pipe.utterances(config.eval_corpus, "corpus_heldout.txt", "eval")
     if not evals:
         raise ConfigError("evaluation corpus is empty after filtering")
     if config.emissions_dir:
         _check_refs(Path(config.emissions_dir) / "refs.tsv", evals)
-    unit_lm = None
-    if config.use_pinyin_lm:
-        unit_lm = pipe.lm(config.pinyin_lm, [u for _, u in train], config.pinyin_lm_order, pipe.alphabet)
-    char_lm = pipe.lm(config.char_lm, [list(h) for h, _ in train], config.char_lm_order)
+    unit_lm, char_lm = pipe.lms()
 
     decoder = decoder_config(config)
     hyp_units, transcripts = [], []
@@ -318,30 +330,22 @@ def cmd_synth(args, config: PipelineConfig) -> int:
 
 
 def cmd_train_lm(args, config: PipelineConfig) -> int:
-    if not 1 <= args.order <= ngram_lm.MAX_ORDER:
-        raise ConfigError(f"order must be in [1, {ngram_lm.MAX_ORDER}], got {args.order}")
-    if not 0.0 < args.discount < 1.0:
-        raise ConfigError(f"discount must be in (0, 1), got {args.discount}")
-    sentences = _read_lines(args.corpus)
-    corpus, vocabulary = [list(s) for s in sentences], None
-    if args.unit != "char":
-        pipe = Pipeline(dataclasses.replace(config, unit_mode="tonal" if args.unit == "pinyin" else "toneless"))
-        pairs = build_parallel(sentences, pipe.lexicon, "train-lm").pairs
-        corpus, vocabulary = [pipe.units(pinyin) for _, pinyin in pairs], pipe.alphabet
-    model = ngram_lm.train(corpus, args.order, args.discount, config.min_count, vocabulary=vocabulary)
-    with atomic_open(Path(args.out)) as fh:
-        ngram_lm.write_arpa(model, fh)
-    per_order = [0] * model.order
-    for gram in model.prob_table:
-        per_order[len(gram) - 1] += 1
-    print(f"vocabulary\t{len(model.vocabulary)}")
-    for k, n in enumerate(per_order, 1):
-        print(f"ngram_{k}\t{n}")
+    out_dir = Path(config.out_dir)
+    unit_lm, char_lm = Pipeline(config).lms()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, model in (("char.arpa", char_lm), ("units.arpa", unit_lm)):
+        if model is None:
+            continue
+        with atomic_open(out_dir / name) as fh:
+            ngram_lm.write_arpa(model, fh)
+        print(f"{out_dir / name}\tvocabulary\t{len(model.vocabulary)}")
+        for k in range(1, model.order + 1):
+            print(f"{out_dir / name}\tngram_{k}\t{sum(len(gram) == k for gram in model.prob_table)}")
     return 0
 
 
 def cmd_decode(args, config: PipelineConfig) -> int:
-    lm = _read_arpa(args.lm) if args.lm else None
+    lm = _read_arpa(config.pinyin_lm) if config.pinyin_lm and config.use_pinyin_lm else None
     decoder = decoder_config(config)
     source = Path(args.emissions)
     files = sorted(source.glob("*.em")) if source.is_dir() else [_existing(args.emissions)]
@@ -417,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Factored Mandarin ASR decoding toolkit: pinyin recognition "
         "(CTC beam search + n-gram LM) and pinyin-to-Hanzi transcription.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated flags: a removed flag such as train-lm's old --out must not pass as a prefix of --out-dir.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     def add_config_args(p):
         p.add_argument("--config", help="key=value config file")
@@ -436,17 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write emission files for an evaluation corpus")
     add_config_args(p)
 
-    p = sub.add_parser("train-lm", help="train an n-gram LM and write ARPA")
-    p.add_argument("--corpus", required=True, help="sentence file, one per line")
-    p.add_argument("--unit", choices=("char", "pinyin", "pinyin-toneless"), default="char")
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--discount", type=float, default=0.6)
-    p.add_argument("--out", required=True, help="output ARPA path")
+    p = sub.add_parser("train-lm", help="train the pipeline's LMs; write OUT_DIR/char.arpa (and units.arpa)")
     add_config_args(p)
 
-    p = sub.add_parser("decode", help="beam-search decode emission files")
+    p = sub.add_parser("decode", help="beam-search decode emission files (fusing --pinyin-lm, if given)")
     p.add_argument("--emissions", required=True, help="*.em file or directory")
-    p.add_argument("--lm", help="ARPA LM for shallow fusion")
     add_config_args(p)
 
     p = sub.add_parser("transcribe", help="convert pinyin lines to Hanzi")

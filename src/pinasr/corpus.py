@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .pinyin import (
+    InvalidSyllable,
+    InvalidTone,
     PronunciationLexicon,
     Syllable,
     SyllableInventory,
@@ -109,7 +111,8 @@ def build_parallel(
 
 def read_parallel_tsv(source, inventory: SyllableInventory, source_tag: str = "tsv") -> ParallelCorpus:
     """Read ``hanzi<TAB>space-joined-pinyin`` lines; validates unit
-    membership and the length-equality invariant."""
+    membership and the length-equality invariant. Every error names its line
+    and is a ValueError (InvalidSyllable or InvalidTone for a bad unit)."""
     pairs: list[tuple[str, tuple[Syllable, ...]]] = []
     for lineno, raw in enumerate(source, 1):
         line = raw.rstrip("\n")
@@ -119,7 +122,10 @@ def read_parallel_tsv(source, inventory: SyllableInventory, source_tag: str = "t
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 2 tab-separated fields")
         hanzi, pinyin_text = fields
-        pinyin = tuple(parse_syllable(tok, inventory) for tok in pinyin_text.split())
+        try:
+            pinyin = tuple(parse_syllable(tok, inventory) for tok in pinyin_text.split())
+        except (InvalidSyllable, InvalidTone) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         if len(pinyin) != len(hanzi):
             raise ValueError(
                 f"line {lineno}: {len(pinyin)} pinyin units vs {len(hanzi)} characters"

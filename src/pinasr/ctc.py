@@ -266,13 +266,13 @@ def read_emissions(source) -> EmissionMatrix:
     lines = source.read().splitlines()
     if len(lines) < 2:
         raise ValueError("emission file needs a header line and a label line")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'T V blank_index'")
-    T, V, blank_index = (int(x) for x in header)
+    try:
+        T, V, blank_index = (int(x) for x in lines[0].split())
+    except ValueError:   # not three fields, or one is not an integer
+        raise ValueError(f"line 1: bad header {lines[0]!r}, expected integers 'T V blank_index'") from None
     unit_labels = tuple(lines[1].split())
     if len(unit_labels) != V:
-        raise ValueError(f"header declares {V} units, label line has {len(unit_labels)}")
+        raise ValueError(f"line 2: header declares {V} units, label line has {len(unit_labels)}")
     if len(lines) < 2 + T:
         raise ValueError(f"header declares {T} frames, file has {len(lines) - 2} rows")
     if len(lines) > 2 + T:

@@ -203,7 +203,10 @@ class PronunciationLexicon:
                     raise ValueError(f"{path}:{lineno}: bad weight {weight_text!r}") from exc
                 if weight <= 0:
                     raise ValueError(f"{path}:{lineno}: weight must be positive")
-                syl = parse_syllable(unit, inventory)
+                try:
+                    syl = parse_syllable(unit, inventory)
+                except (InvalidSyllable, InvalidTone) as exc:
+                    raise type(exc)(f"{path}:{lineno}: {exc}") from None
                 entries.setdefault(char, []).append((syl, weight))
         return cls(entries, version=str(path))
 

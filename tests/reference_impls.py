@@ -10,6 +10,7 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from hypothesis import strategies as st
 
 from pinasr.ctc import (
     NEG_INF,
@@ -485,3 +486,30 @@ def write_parallel_tsv(corpus, sink) -> None:
     """Write ``hanzi<TAB>space-joined-pinyin`` lines."""
     for hanzi, pinyin in corpus.pairs:
         sink.write(hanzi + "\t" + " ".join(str(s) for s in pinyin) + "\n")
+
+
+def garbled_text(lines: list[str]):
+    """Strategy for reader tests: arbitrary text, or the valid file ``lines``
+    with up to four lines inserted, deleted, replaced (by arbitrary text or
+    another of its lines) or spliced with arbitrary text."""
+    fresh = st.one_of(st.sampled_from(lines), st.text(max_size=12))
+
+    @st.composite
+    def garble(draw):
+        out = list(lines)
+        for _ in range(draw(st.integers(0, 4))):
+            i = draw(st.integers(0, len(out)))
+            op = draw(st.sampled_from(("insert", "delete", "replace", "splice")))
+            if op == "insert" or i == len(out):
+                out.insert(i, draw(fresh))
+            elif op == "delete":
+                del out[i]
+            elif op == "replace":
+                out[i] = draw(fresh)
+            else:
+                at = draw(st.integers(0, len(out[i])))
+                out[i] = out[i][:at] + draw(st.text(max_size=4)) + out[i][at + draw(st.integers(0, 3)):]
+        return "\n".join(out)
+
+    return st.one_of(st.text(max_size=60), garble())
+

@@ -1,10 +1,11 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 from pinasr import assets
-from pinasr.cli import PipelineConfig, config_hash, main, parse_config_file
+from pinasr.cli import PipelineConfig, build_parser, config_hash, main, parse_config_file
 
 SUBCOMMANDS = ("pipeline", "train-lm", "decode", "transcribe", "stats", "score", "synth")
 
@@ -98,25 +99,30 @@ def test_config_hash_is_stable_and_sensitive():
 
 
 def test_train_lm_round_trip_and_determinism(tmp_path, small_corpus, capsys):
-    out1, out2 = tmp_path / "a.arpa", tmp_path / "b.arpa"
-    code, out, _ = run(capsys, "train-lm", "--corpus", str(small_corpus), "--unit", "pinyin",
-                       "--order", "2", "--out", str(out1))
-    assert code == 0 and "vocabulary" in out
-    code, _, _ = run(capsys, "train-lm", "--corpus", str(small_corpus), "--unit", "pinyin",
-                     "--order", "2", "--out", str(out2))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    flags = ["--train-corpus", str(small_corpus), "--pinyin-lm-order", "2", "--char-lm-order", "3"]
+    code, out, _ = run(capsys, "train-lm", *flags, "--out-dir", str(out1))
+    assert code == 0 and f"{out1 / 'units.arpa'}\tvocabulary\t" in out
+    code, _, _ = run(capsys, "train-lm", *flags, "--out-dir", str(out2))
     assert code == 0
-    assert out1.read_bytes() == out2.read_bytes()
 
     from pinasr.ngram_lm import read_arpa
-    with open(out1, encoding="utf-8") as fh:
-        model = read_arpa(fh)
-    assert model.order == 2
+    for name, order in (("units.arpa", 2), ("char.arpa", 3)):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        with open(out1 / name, encoding="utf-8") as fh:
+            model = read_arpa(fh)
+        assert model.order == order
+        assert f"{out1 / name}\tngram_{order}\t" in out
+
+    code, out, _ = run(capsys, "train-lm", *flags, "--no-use-pinyin-lm", "--out-dir", str(tmp_path / "c"))
+    assert code == 0 and sorted(p.name for p in (tmp_path / "c").iterdir()) == ["char.arpa"]
 
 
 def test_train_lm_bad_order_exits_2(tmp_path, small_corpus, capsys):
-    code, _, err = run(capsys, "train-lm", "--corpus", str(small_corpus), "--order", "0",
-                       "--out", str(tmp_path / "x.arpa"))
-    assert code == 2 and "order" in err
+    code, _, err = run(capsys, "train-lm", "--train-corpus", str(small_corpus), "--pinyin-lm-order", "7",
+                       "--out-dir", str(tmp_path / "lms"))
+    assert code == 2 and "pinyin_lm_order" in err
+    assert not (tmp_path / "lms").exists()
 
 
 def test_synth_decode_score_chain(tmp_path, small_corpus, capsys):
@@ -151,8 +157,8 @@ def test_transcribe_command(tmp_path, capsys):
     lm_path = tmp_path / "char.arpa"
     corpus = tmp_path / "c.txt"
     corpus.write_text("\n".join(assets.read_sentences("corpus_train.txt")[:20]) + "\n", encoding="utf-8")
-    code, _, _ = run(capsys, "train-lm", "--corpus", str(corpus), "--unit", "char",
-                     "--order", "3", "--out", str(lm_path))
+    code, _, _ = run(capsys, "train-lm", "--train-corpus", str(corpus), "--char-lm-order", "3",
+                     "--out-dir", str(tmp_path))
     assert code == 0
     pinyin_file = tmp_path / "p.txt"
     pinyin_file.write_text("zhong1 guo2\n", encoding="utf-8")
@@ -213,17 +219,23 @@ def test_validate_assets_command(capsys):
         ("decode", "--unit-mode", "Tonal"),
         ("score", "--confusion-policy", "bogus"),
         ("train-lm", "--unit-mode", "Tonal"),
+        ("pipeline", "--char-lm-order", "0"),
+        ("pipeline", "--lm-discount", "1.5"),
+        ("train-lm", "--char-lm-order", "0"),
+        ("train-lm", "--lm-discount", "1.5"),
+        ("decode", "--lm-discount", "0"),
     ],
     ids=["synth-unit-mode", "synth-confusion-policy", "pipeline-unit-mode", "transcribe-unit-mode",
          "stats-unit-mode", "score-confusion-policy", "decode-unit-mode", "score-plain-confusion-policy",
-         "train-lm-unit-mode"],
+         "train-lm-unit-mode", "pipeline-char-lm-order", "pipeline-lm-discount", "train-lm-char-lm-order",
+         "train-lm-lm-discount", "decode-lm-discount"],
 )
 def test_bad_unit_mode_or_confusion_policy_exits_2_and_writes_nothing(tmp_path, small_corpus, capsys, argv):
     extra = {
         "transcribe": ["--input", str(small_corpus)],
         "score": ["--refs", str(small_corpus), "--hyps", str(small_corpus)],
         "decode": ["--emissions", str(tmp_path / "em")],
-        "train-lm": ["--corpus", str(small_corpus), "--out", str(tmp_path / "lm.arpa")],
+        "train-lm": ["--train-corpus", str(small_corpus)],
     }.get(argv[0], ["--eval-corpus", str(small_corpus)])
     if argv[0] == "decode":
         # Real emission files, so only the config check can fail the decode.
@@ -232,7 +244,7 @@ def test_bad_unit_mode_or_confusion_policy_exits_2_and_writes_nothing(tmp_path, 
     code, out, err = run(capsys, *argv, *extra, "--out-dir", str(out_dir))
     assert code == 2
     assert argv[1][2:].replace("-", "_") in err
-    assert out == "" and not out_dir.exists() and not (tmp_path / "lm.arpa").exists()
+    assert out == "" and not out_dir.exists()
 
 
 def write_sentences(path, sentences):
@@ -276,10 +288,77 @@ def test_pipeline_ingest_matches_synthesized_run(tmp_path, small_corpus, capsys)
 
 def test_pipeline_stage_error_names_stage_and_utterance(tmp_path, small_corpus, capsys):
     char_lm = tmp_path / "char.arpa"
-    code, _, _ = run(capsys, "train-lm", "--corpus", str(small_corpus), "--unit", "char",
-                     "--order", "2", "--out", str(char_lm))
+    code, _, _ = run(capsys, "train-lm", "--train-corpus", str(small_corpus), "--char-lm-order", "2",
+                     "--out-dir", str(tmp_path))
     assert code == 0
     code, _, err = run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--pinyin-lm", str(char_lm),
                        "--out-dir", str(tmp_path / "out"))
     assert code == 1
     assert "stage=decode utt=0" in err
+
+
+def test_train_lm_then_pipeline_and_decode_match_in_run_training(tmp_path, capsys):
+    # Punctuated lines and one too short for min_len: train-lm must filter and
+    # normalize its corpus exactly as pipeline's in-run training does.
+    sentences = assets.read_sentences("corpus_train.txt")[:30]
+    train = write_sentences(tmp_path / "train.txt", [s + "，" if i % 3 == 0 else s for i, s in enumerate(sentences)]
+                            + ["我们"])
+    evals = write_sentences(tmp_path / "eval.txt", assets.read_sentences("corpus_heldout.txt")[:12])
+    common = ["--train-corpus", str(train), "--eval-corpus", str(evals), "--seed", "12345", "--temperature", "2.5"]
+    lms, em_dir = tmp_path / "lms", tmp_path / "em"
+    assert run(capsys, "train-lm", *common, "--out-dir", str(lms))[0] == 0
+    loaded = ["--char-lm", str(lms / "char.arpa"), "--pinyin-lm", str(lms / "units.arpa")]
+    in_run, from_arpa = tmp_path / "in-run", tmp_path / "from-arpa"
+    assert run(capsys, "pipeline", *common, "--out-dir", str(in_run))[0] == 0
+    assert run(capsys, "pipeline", *common, *loaded, "--out-dir", str(from_arpa))[0] == 0
+    for name in ("hyps.tsv", "units.tsv", "detail.jsonl"):
+        assert (from_arpa / name).read_bytes() == (in_run / name).read_bytes(), name
+
+    assert run(capsys, "synth", *common, "--out-dir", str(em_dir))[0] == 0
+    code, decoded, _ = run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(lms / "units.arpa"))
+    assert code == 0
+    ingest = tmp_path / "ingest"
+    assert run(capsys, "pipeline", *common, "--emissions-dir", str(em_dir), "--pinyin-lm", str(lms / "units.arpa"),
+               "--out-dir", str(ingest))[0] == 0
+    units = [line.rsplit("\t", 1)[0] for line in decoded.splitlines()]
+    assert units == (ingest / "units.tsv").read_text(encoding="utf-8").splitlines() == \
+        (in_run / "units.tsv").read_text(encoding="utf-8").splitlines()
+
+
+def test_configured_inventory_checks_bundled_lexicon(tmp_path, small_corpus, capsys):
+    lexicon_lines = assets.data_path("lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    lineno, unit = next((n, line.split("\t")[1]) for n, line in enumerate(lexicon_lines, 1)
+                        if line.strip() and not line.startswith("#"))
+    inventory = write_sentences(tmp_path / "inventory.txt",
+                                sorted(u for u in assets.default_inventory().tonal_units if u != unit))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "pipeline", "--inventory", str(inventory), "--eval-corpus", str(small_corpus),
+                         "--out-dir", str(out_dir))
+    assert code == 1
+    assert f"lexicon.tsv:{lineno}: not in inventory" in err and repr(unit) in err
+    assert out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-lm", "--corpus", "c.txt"], ["train-lm", "--unit", "char"], ["train-lm", "--order", "2"],
+    ["train-lm", "--discount", "0.5"], ["train-lm", "--out", "lm.arpa"], ["decode", "--emissions", "em", "--lm", "x"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_removed_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["pinasr"]]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: pinasr {shlex.join(argv)}")
+

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pinasr import assets
+from pinasr.pinyin import InvalidSyllable, InvalidTone
 from pinasr.corpus import (
     ParallelCorpus,
     build_parallel,
@@ -11,7 +12,7 @@ from pinasr.corpus import (
     normalize_hanzi,
     read_parallel_tsv,
 )
-from reference_impls import write_parallel_tsv
+from reference_impls import garbled_text, write_parallel_tsv
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +97,18 @@ def test_parallel_tsv_round_trip(lexicon):
 def test_parallel_tsv_rejects_length_mismatch():
     with pytest.raises(ValueError, match="line 1"):
         read_parallel_tsv(io.StringIO("中国\tzhong1\n"), assets.default_inventory())
+
+
+def test_parallel_tsv_bad_unit_names_line_and_keeps_type():
+    with pytest.raises(InvalidTone, match=r"^line 2: tone digit out of range in 'zz9'$"):
+        read_parallel_tsv(io.StringIO("中\tzhong1\n中\tzz9\n"), assets.default_inventory())
+    with pytest.raises(InvalidSyllable, match=r"^line 1: not in inventory"):
+        read_parallel_tsv(io.StringIO("中\tzz1\n"), assets.default_inventory())
+
+
+@given(garbled_text(["中国\tzhong1 guo2", "", "我们\two3 men5", "中\tzhong4"]))
+def test_parallel_tsv_garbage_raises_only_value_errors_naming_the_line(text):
+    try:
+        read_parallel_tsv(io.StringIO(text), assets.default_inventory())
+    except ValueError as exc:
+        assert str(exc).startswith("line "), exc

@@ -18,6 +18,7 @@ from pinasr.ctc import (
 )
 from pinasr.ngram_lm import train
 from reference_impls import (
+    garbled_text,
     InfeasibleLength,
     InstanceTooLarge,
     brute_force_decode,
@@ -298,8 +299,9 @@ def test_emission_file_handles_neg_inf():
 
 
 def test_emission_file_rejects_bad_header():
-    with pytest.raises(ValueError):
-        read_emissions(io.StringIO("1 2\nx y\n0 0 0\n"))
+    for text in ("1 2\nx y\n0 0 0\n", "1 x 1\na\n0:0.0\n"):   # too few fields; not an integer
+        with pytest.raises(ValueError, match=r"^line 1: bad header"):
+            read_emissions(io.StringIO(text))
 
 
 HALF = repr(math.log10(0.5))
@@ -337,6 +339,15 @@ def test_emission_file_round_trip_property(data):
     second = io.StringIO()
     write_emissions(back, second)
     assert second.getvalue() == first.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbled_text(["2 2 1", "a b", f"0:{HALF} 2:{HALF}", "1:0.0"]))
+def test_emission_file_garbage_raises_only_value_errors(text):
+    try:
+        read_emissions(io.StringIO(text))
+    except ValueError:
+        pass
 
 
 def test_read_emissions_rejects_rows_past_declared_frames():

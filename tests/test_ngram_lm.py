@@ -21,7 +21,7 @@ from pinasr.ngram_lm import (
     train,
     write_arpa,
 )
-from reference_impls import arpa_perplexity, perplexity, prediction_vocabulary
+from reference_impls import arpa_perplexity, garbled_text, perplexity, prediction_vocabulary
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
 
@@ -394,3 +394,18 @@ def test_trained_model_contexts_are_its_backoff_keys():
     contexts = model._contexts
     assert contexts == set(model.backoff_table) | {()}
     assert {id(c) for c in contexts} == {id(k) for k in model.backoff_table} | {id(())}
+
+
+def arpa_lines(model):
+    buf = io.StringIO()
+    write_arpa(model, buf)
+    return buf.getvalue().splitlines()
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbled_text(arpa_lines(train([["a", "b"], ["b", "a", "c"]], order=2, discount=0.5))))
+def test_read_arpa_garbage_raises_only_value_errors(text):
+    try:
+        read_arpa(io.StringIO(text))
+    except ValueError:
+        pass
