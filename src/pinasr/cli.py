@@ -197,9 +197,11 @@ class Pipeline:
     def lms(self) -> tuple[NGramModel | None, NGramModel]:
         """The unit LM (None with ``use_pinyin_lm`` off) and the char LM, each
         read from its ARPA path or else trained on the train corpus's
-        utterances; the unit LM is closed over the unit alphabet."""
+        utterances (read only if a model is trained); the unit LM is closed
+        over the unit alphabet."""
         c = self.config
-        train = self.utterances(c.train_corpus, "corpus_train.txt", "train")
+        train_needed = not c.char_lm or (c.use_pinyin_lm and not c.pinyin_lm)
+        train = self.utterances(c.train_corpus, "corpus_train.txt", "train") if train_needed else []
 
         def lm(path: str, corpus, order: int, vocabulary=None) -> NGramModel:
             return _read_arpa(path) if path else ngram_lm.train(corpus, order, c.lm_discount, c.min_count, vocabulary)
@@ -436,14 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, dest=f.name, type={"int": int, "float": float}.get(f.type, str),
                                default=argparse.SUPPRESS, help=f"override {f.name} (default {f.default!r})")
 
-    p = sub.add_parser("pipeline", help="run synth/ingest -> decode -> transcribe -> score")
-    add_config_args(p)
-
-    p = sub.add_parser("synth", help="write emission files for an evaluation corpus")
-    add_config_args(p)
-
-    p = sub.add_parser("train-lm", help="train the pipeline's LMs; write OUT_DIR/char.arpa (and units.arpa)")
-    add_config_args(p)
+    for name, help_text in (("pipeline", "run synth/ingest -> decode -> transcribe -> score"),
+                            ("synth", "write emission files for an evaluation corpus"),
+                            ("train-lm", "train the pipeline's LMs; write OUT_DIR/char.arpa (and units.arpa)")):
+        add_config_args(sub.add_parser(name, help=help_text))
 
     p = sub.add_parser("decode", help="beam-search decode emission files (fusing --pinyin-lm, if given)")
     p.add_argument("--emissions", required=True, help="*.em file or directory")

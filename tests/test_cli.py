@@ -311,8 +311,12 @@ def test_train_lm_then_pipeline_and_decode_match_in_run_training(tmp_path, capsy
     in_run, from_arpa = tmp_path / "in-run", tmp_path / "from-arpa"
     assert run(capsys, "pipeline", *common, "--out-dir", str(in_run))[0] == 0
     assert run(capsys, "pipeline", *common, *loaded, "--out-dir", str(from_arpa))[0] == 0
+    # With both models read, the train corpus is not needed (a later flag wins).
+    no_train = tmp_path / "no-train"
+    assert run(capsys, "pipeline", *common, *loaded, "--train-corpus", str(tmp_path / "absent.txt"),
+               "--out-dir", str(no_train))[0] == 0
     for name in ("hyps.tsv", "units.tsv", "detail.jsonl"):
-        assert (from_arpa / name).read_bytes() == (in_run / name).read_bytes(), name
+        assert (from_arpa / name).read_bytes() == (in_run / name).read_bytes() == (no_train / name).read_bytes(), name
 
     assert run(capsys, "synth", *common, "--out-dir", str(em_dir))[0] == 0
     code, decoded, _ = run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(lms / "units.arpa"))
