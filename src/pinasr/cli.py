@@ -131,7 +131,10 @@ def _read_lines(path: str, default_sentences: str = "") -> list[str]:
 
 def _read_arpa(path: str) -> NGramModel:
     with open(_existing(path), encoding="utf-8") as fh:
-        return ngram_lm.read_arpa(fh)
+        try:
+            return ngram_lm.read_arpa(fh)
+        except ValueError as exc:   # MalformedArpa, or text that is not UTF-8
+            raise ngram_lm.MalformedArpa(f"{path}: {exc}") from exc
 
 
 def decoder_config(config: PipelineConfig) -> DecoderConfig:
@@ -341,8 +344,9 @@ def cmd_train_lm(args, config: PipelineConfig) -> int:
         with atomic_open(out_dir / name) as fh:
             ngram_lm.write_arpa(model, fh)
         print(f"{out_dir / name}\tvocabulary\t{len(model.vocabulary)}")
+        grams = model.prob_table
         for k in range(1, model.order + 1):
-            print(f"{out_dir / name}\tngram_{k}\t{sum(len(gram) == k for gram in model.prob_table)}")
+            print(f"{out_dir / name}\tngram_{k}\t{sum(len(gram) == k for gram in grams)}")
     return 0
 
 
@@ -356,7 +360,10 @@ def cmd_decode(args, config: PipelineConfig) -> int:
         return 1
     for path in files:
         with open(path, encoding="utf-8") as fh:
-            emissions = read_emissions(fh)
+            try:
+                emissions = read_emissions(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         units, score = prefix_beam_search(emissions, lm, decoder)[0]
         print(f"{path.stem}\t{' '.join(units)}\t{score:.6f}")
     return 0

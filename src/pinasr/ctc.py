@@ -19,6 +19,7 @@ over). With an exhaustive beam and no pruning the search is exact.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -159,6 +160,22 @@ class DecoderConfig:
             raise ValueError(f"lm_weight must be >= 0, got {self.lm_weight}")
 
 
+@functools.lru_cache(maxsize=8)
+def _alphabet_tables(unit_labels: tuple[str, ...], blank_index: int, lm: NGramModel | None):
+    """The labels sorted, each class's unit number in that order (-1 for the
+    blank; read-only) and each unit number's LM word; VocabularyMismatch for a
+    unit the LM lacks. Prefixes of unit numbers then sort like their labels."""
+    if lm is not None and (missing := [u for u in unit_labels if u not in lm.vocabulary]):
+        raise VocabularyMismatch(f"units absent from LM vocabulary: {missing[:5]}")
+    by_label = sorted(range(len(unit_labels)), key=unit_labels.__getitem__)
+    labels = tuple(unit_labels[u] for u in by_label)
+    unit_number = np.empty(len(unit_labels), dtype=np.int64)
+    unit_number[by_label] = np.arange(len(unit_labels))
+    unit_of_class = np.insert(unit_number, blank_index, -1)
+    unit_of_class.flags.writeable = False
+    return labels, unit_of_class, None if lm is None else tuple(map(lm.word, labels))
+
+
 def prefix_beam_search(
     emissions: EmissionMatrix,
     lm: NGramModel | None,
@@ -169,32 +186,20 @@ def prefix_beam_search(
     Returns up to ``beam_width`` (unit sequence, fused score) pairs, best
     first; ties sort by the unit strings so output is deterministic. Each
     prefix tracks separate blank/non-blank ending masses, and extension by a
-    unit adds its fused LM/bonus contribution exactly once.
+    unit adds its fused LM/bonus contribution exactly once, by one
+    ``lm.score_token`` query from the prefix's LM state.
     """
-    if lm is not None:
-        missing = [u for u in emissions.unit_labels if u not in lm.vocabulary]
-        if missing:
-            raise VocabularyMismatch(f"units absent from LM vocabulary: {missing[:5]}")
-
+    labels, unit_of_class, words = _alphabet_tables(emissions.unit_labels, emissions.blank_index, lm)
     alpha = config.lm_weight if lm is not None else 0.0
     beta = config.insertion_bonus
-    order = lm.order if lm is not None else 1
-
-    # Units are renumbered by sorted label, so prefix tuples of unit numbers
-    # sort exactly like their label strings (labels are unique); -1 is blank.
-    by_label = sorted(range(emissions.num_units), key=emissions.unit_labels.__getitem__)
-    labels = [emissions.unit_labels[u] for u in by_label]
-    unit_number = np.empty(emissions.num_units, dtype=np.int64)
-    unit_number[by_label] = np.arange(emissions.num_units)
-    unit_of_class = np.insert(unit_number, emissions.blank_index, -1)
     frames = _entries_by_frame(emissions.log_probs, config.prune_threshold, unit_of_class)
 
     # Beam entries: (-fused score, prefix, p_blank, p_nonblank, total mass),
     # best first; prefixes are tuples of unit numbers.
     beam: list[tuple[float, tuple[int, ...], float, float, float]] = [(0.0, (), 0.0, NEG_INF, 0.0)]
-    # prefix -> (cumulative lm log10, lm context tuple); grows append-only,
-    # and only when there is an LM.
-    lm_cache: dict[tuple[int, ...], tuple[float, tuple[str, ...]]] = {(): (0.0, (BOS,))}
+    # prefix -> (cumulative lm log10, lm state); grows append-only, and only
+    # when there is an LM.
+    lm_cache: dict[tuple[int, ...], tuple[float, int]] = {(): (0.0, lm.state((BOS,)))} if lm is not None else {}
 
     for active in frames:
         # prefix -> [p_blank, p_nonblank]; a new entry takes its first mass
@@ -226,10 +231,9 @@ def prefix_beam_search(
                     continue
                 next_beam[child] = [NEG_INF, value]
                 if lm is not None and child not in lm_cache:
-                    cum, ctx = lm_cache[prefix]
-                    token = labels[unit]
-                    next_ctx = (ctx + (token,))[-(order - 1):] if order > 1 else ()
-                    lm_cache[child] = (cum + lm.score_token(ctx, token), next_ctx)
+                    cum, state = lm_cache[prefix]
+                    logp, following = lm.score_token(state, words[unit])
+                    lm_cache[child] = (cum + logp, following)
 
         candidates = []
         for prefix, (p_b, p_nb) in next_beam.items():
@@ -259,22 +263,24 @@ def write_emissions(emissions: EmissionMatrix, sink) -> None:
 
 def read_emissions(source) -> EmissionMatrix:
     """Parse the text form written by ``write_emissions`` from the file
-    object ``source``. Raises ValueError naming the line for rows past the
-    declared frame count, for an entry that is not ``class:value`` (a dense
-    row from an earlier version included), for a class out of range,
-    repeated or out of ascending order, and for a value that is not finite."""
+    object ``source``. Raises ValueError naming the line for a bad header or
+    label line, too few or too many rows, an entry that is not ``class:value``
+    (a dense row from an earlier version included), a class out of range,
+    repeated or out of order, or a value that is not finite."""
     lines = source.read().splitlines()
     if len(lines) < 2:
-        raise ValueError("emission file needs a header line and a label line")
+        raise ValueError(f"line {len(lines) + 1}: emission file needs a header line and a label line")
     try:
         T, V, blank_index = (int(x) for x in lines[0].split())
     except ValueError:   # not three fields, or one is not an integer
         raise ValueError(f"line 1: bad header {lines[0]!r}, expected integers 'T V blank_index'") from None
+    if T < 1:
+        raise ValueError(f"line 1: header declares {T} frames, need at least 1")
     unit_labels = tuple(lines[1].split())
     if len(unit_labels) != V:
         raise ValueError(f"line 2: header declares {V} units, label line has {len(unit_labels)}")
     if len(lines) < 2 + T:
-        raise ValueError(f"header declares {T} frames, file has {len(lines) - 2} rows")
+        raise ValueError(f"line 1: header declares {T} frames, file has {len(lines) - 2} rows")
     if len(lines) > 2 + T:
         raise ValueError(f"line {3 + T}: row past the {T} frames the header declares")
     log_probs = np.full((T, V + 1), NEG_INF)

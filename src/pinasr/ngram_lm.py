@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -91,92 +90,108 @@ def _count_ngrams(sentences: Sequence[Sequence[str]], order: int) -> CountTable:
     return table
 
 
-@dataclass
 class NGramModel:
-    """A trained (or ARPA-loaded) backoff model; immutable in practice and
-    safe for concurrent scoring."""
+    """A trained (or ARPA-loaded) backoff model, compiled on construction to
+    integer tables; immutable and safe for concurrent scoring.
 
-    order: int
-    vocabulary: frozenset[str]
-    prob_table: dict[tuple[str, ...], float]
-    backoff_table: dict[tuple[str, ...], float]
+    ``word`` numbers the tokens and ``state`` the contexts the tables store:
+    every backoff key and n-gram history shorter than ``order``, closed
+    under prefixes, with ``()`` as state 0. A state keeps its backoff weight
+    and its parent, the longest stored proper suffix; ``score_token`` is the
+    one query. A top-order n-gram's backoff weight weighs on no query and is
+    not kept.
+    """
 
-    def _map(self, token: str) -> str:
-        """``token`` if in the vocabulary, else ``<unk>``; a model without
-        ``<unk>`` raises OutOfVocabulary naming the token."""
-        if token in self.vocabulary:
-            return token
-        if UNK in self.vocabulary:
-            return UNK
-        raise OutOfVocabulary(f"token {token!r} is not in the LM vocabulary, which has no {UNK}")
-
-    @cached_property
-    def _contexts(self) -> set[tuple[str, ...]]:
-        """Every context the tables store: the backoff keys and the n-gram
-        histories, closed under prefixes, plus ``()``. A stored tuple is
-        reused wherever one exists; only a missing prefix is allocated.
-        Built on the first ``state`` call, so the tables must not change
-        after it."""
-        stored = set(self.backoff_table)
-        stored.add(())
-        for gram in chain(self.backoff_table, self.prob_table):
+    def __init__(self, order: int, vocabulary: Iterable[str],
+                 prob_table: dict[tuple[str, ...], float], backoff_table: dict[tuple[str, ...], float]):
+        self.order = order
+        self._words = words = {token: i for i, token in enumerate(sorted(vocabulary))}
+        self.vocabulary = words.keys()
+        self._num_words = size = len(words)
+        contexts = dict.fromkeys([(), *(key for key in backoff_table if len(key) < order)])
+        for gram in chain(list(contexts), prob_table):
             prefix = gram[:-1]
-            while prefix not in stored:
-                stored.add(prefix)
+            while prefix not in contexts:
+                contexts[prefix] = None
                 prefix = prefix[:-1]
-        return stored
+        # Shorter first (a state's prefix and parent get smaller ids), else in table order.
+        ordered = sorted(contexts, key=len)
+        ids = {ctx: i for i, ctx in enumerate(ordered)}
+        self._backoff = [backoff_table.get(ctx) for ctx in ordered]   # None weighs 0
+        self._parent = []
+        for ctx in ordered:
+            suffix = ctx[1:]
+            while suffix not in ids:
+                suffix = suffix[1:]
+            self._parent.append(ids[suffix])
+        self._prob = {ids[gram[:-1]] * size + words[gram[-1]]: p for gram, p in prob_table.items()}
+        # Each state, keyed by its prefix state and last word.
+        self._next = {ids[ctx[:-1]] * size + words[ctx[-1]]: i for i, ctx in enumerate(ordered) if ctx}
 
-    def state(self, context: Sequence[str]) -> tuple[str, ...]:
-        """The LM state of ``context``: its tokens mapped as ``score_token``
-        maps them, truncated to the last order-1, then stripped of leading
-        tokens until what is left is a stored context.
+    def word(self, token: str) -> int:
+        """The word id of ``token``, or of ``<unk>`` for a token outside the
+        vocabulary; a model without ``<unk>`` raises OutOfVocabulary."""
+        if (word := self._words.get(token, self._words.get(UNK))) is None:
+            raise OutOfVocabulary(f"token {token!r} is not in the LM vocabulary, which has no {UNK}")
+        return word
 
+    def state(self, context: Sequence[str]) -> int:
+        """The state of ``context``: its last order-1 tokens, mapped as
+        ``word`` maps them, then the longest of their suffixes that is stored.
         A context that is not stored has no n-gram and no backoff weight, so
-        ``score_token(state(h), w) == score_token(h, w)`` bit for bit; prefix
-        closure makes ``state(state(h) + (w,)) == state(h + (w,))``. Two
-        histories with one state therefore score every continuation alike.
+        two contexts with one state score every continuation alike."""
+        size, follow, parent = self._num_words, self._next, self._parent
+        state = 0
+        for token in context[max(0, len(context) - self.order + 1):]:
+            word = self.word(token)
+            while (following := follow.get(state * size + word)) is None and state:
+                state = parent[state]
+            state = following or 0
+        return state
+
+    def score_token(self, state: int, word: int) -> tuple[float, int]:
+        """``(log10 P(word | state), the state after word)``.
+
+        The probability is longest-match backoff: from ``state`` through its
+        parents, adding each backoff weight passed, to the first that stores
+        an n-gram ending in ``word``. The next state is ``state``'s tokens
+        plus ``word``, stripped as ``state`` strips a context: through the
+        parents to the first with a transition on ``word``, else state 0.
         """
-        ctx = tuple(self._map(t) for t in context[max(0, len(context) - self.order + 1):])
-        stored = self._contexts
-        while ctx not in stored:
-            ctx = ctx[1:]
-        return ctx
-
-    def next_state(self, state: tuple[str, ...], token: str) -> tuple[str, ...]:
-        """``self.state(state + (token,))`` for a ``state`` that this model
-        returned: its tokens are mapped already, so only ``token`` is."""
-        if self.order == 1:
-            return ()
-        ctx = (*state[max(0, len(state) + 2 - self.order):], self._map(token))
-        stored = self._contexts
-        while ctx not in stored:
-            ctx = ctx[1:]
-        return ctx
-
-    def score_token(self, context: Sequence[str], token: str) -> float:
-        """log10 P(token | context) by longest-match backoff.
-
-        Context longer than order-1 is truncated to its most recent tokens;
-        out-of-vocabulary tokens (in either position) map to ``<unk>``, or
-        raise OutOfVocabulary in a model without ``<unk>``.
-        """
-        word = self._map(token)
-        ctx = context[max(0, len(context) - self.order + 1):]
-        # A context of known tokens (a state, say) needs no mapping.
-        ctx = tuple(ctx if self.vocabulary.issuperset(ctx) else map(self._map, ctx))
-        prob = self.prob_table
-        backoff = self.backoff_table
-        penalty = 0.0
-        while True:
-            hit = prob.get(ctx + (word,))
-            if hit is not None:
-                return penalty + hit
-            if not ctx:
+        size, prob, follow, backoff, parent = self._num_words, self._prob, self._next, self._backoff, self._parent
+        at, penalty = state, 0.0
+        while (hit := prob.get(at * size + word)) is None:
+            if not at:
                 # Trained and ARPA-read models have a unigram for every
                 # vocabulary token; a hand-built one may omit the begin marker's.
-                return penalty + BOS_LOG10
-            penalty += backoff.get(ctx, 0.0)
-            ctx = ctx[1:]
+                hit = BOS_LOG10
+                break
+            penalty += backoff[at] or 0.0
+            at = parent[at]
+        while (following := follow.get(state * size + word)) is None and state:
+            state = parent[state]
+        return penalty + hit, following or 0
+
+    def state_contexts(self) -> list[tuple[str, ...]]:
+        """Each state's tokens, by state id, rebuilt from the transitions."""
+        tokens = list(self._words)
+        contexts = [()] * len(self._parent)
+        for key, state in self._next.items():   # ascending states: a prefix comes first
+            prefix, word = divmod(key, self._num_words)
+            contexts[state] = contexts[prefix] + (tokens[word],)
+        return contexts
+
+    @property
+    def prob_table(self) -> dict[tuple[str, ...], float]:
+        """The stored n-gram log10 probabilities, rebuilt on each access."""
+        contexts, tokens = self.state_contexts(), list(self._words)
+        return {contexts[key // self._num_words] + (tokens[key % self._num_words],): p
+                for key, p in self._prob.items()}
+
+    @property
+    def backoff_table(self) -> dict[tuple[str, ...], float]:
+        """The stored backoff weights, rebuilt on each access."""
+        return {ctx: bow for ctx, bow in zip(self.state_contexts(), self._backoff) if bow is not None}
 
 
 def train(
@@ -275,6 +290,7 @@ def write_arpa(model: NGramModel, sink) -> None:
     """Serialize in standard ARPA layout; floats are written with repr so a
     round-trip reproduces every score bit-for-bit."""
     per_order: list[list[tuple[tuple[str, ...], float]]] = [[] for _ in range(model.order)]
+    backoff = model.backoff_table
     for gram, logprob in model.prob_table.items():
         per_order[len(gram) - 1].append((gram, logprob))
     for entries in per_order:
@@ -287,7 +303,7 @@ def write_arpa(model: NGramModel, sink) -> None:
         sink.write(f"\\{k}-grams:\n")
         for gram, logprob in entries:
             line = f"{logprob!r}\t{' '.join(gram)}"
-            bow = model.backoff_table.get(gram)
+            bow = backoff.get(gram)
             if bow is not None:
                 line += f"\t{bow!r}"
             sink.write(line + "\n")
@@ -297,9 +313,10 @@ def write_arpa(model: NGramModel, sink) -> None:
 
 def read_arpa(source) -> NGramModel:
     """Parse ARPA text from the file object ``source`` back into a model;
-    raises MalformedArpa with a line diagnostic on layout violations, on a
-    log10 probability that is NaN, infinite or above 0, on a backoff
-    weight that is not finite, and on an n-gram token with no unigram."""
+    raises MalformedArpa naming a line (past the last for a missing part) on
+    layout violations, on a log10 probability that is NaN, infinite or above
+    0, on a backoff weight that is not finite, and on an n-gram token with
+    no unigram. A count mismatch names the section header or count line."""
     lines = source.read().splitlines()
     it = iter(enumerate(lines, 1))
 
@@ -307,13 +324,14 @@ def read_arpa(source) -> NGramModel:
         raise MalformedArpa(f"line {lineno}: {message}")
 
     declared: dict[int, int] = {}
+    where: dict[int, int] = {}   # each order's count line, then its section header line
     for lineno, line in it:
         if line.strip() == "\\data\\":
             break
         if line.strip():
             fail(lineno, f"expected \\data\\, got {line!r}")
     else:
-        raise MalformedArpa("missing \\data\\ section")
+        fail(len(lines) + 1, "missing \\data\\ section")
     for lineno, line in it:
         line = line.strip()
         if not line:
@@ -322,8 +340,9 @@ def read_arpa(source) -> NGramModel:
         if not m:
             fail(lineno, f"bad ngram count line {line!r}")
         declared[int(m.group(1))] = int(m.group(2))
+        where[int(m.group(1))] = lineno
     if not declared or sorted(declared) != list(range(1, max(declared) + 1)):
-        raise MalformedArpa(f"incomplete ngram count declarations: {sorted(declared)}")
+        fail(lineno, f"incomplete ngram count declarations: {sorted(declared)}")
 
     order = max(declared)
     prob: dict[tuple[str, ...], float] = {}
@@ -343,6 +362,7 @@ def read_arpa(source) -> NGramModel:
             current = int(m.group(1))
             if current not in declared:
                 fail(lineno, f"section \\{current}-grams: was not declared")
+            where[current] = lineno
             continue
         if current is None:
             fail(lineno, f"entry outside any section: {line!r}")
@@ -370,12 +390,10 @@ def read_arpa(source) -> NGramModel:
             if not math.isfinite(backoff[gram]):
                 fail(lineno, f"backoff weight {fields[2]!r} is not finite")
     if not ended:
-        raise MalformedArpa("missing \\end\\ marker")
+        fail(len(lines) + 1, "missing \\end\\ marker")
     for k, expected in declared.items():
         if seen_per_order[k] != expected:
-            raise MalformedArpa(
-                f"\\{k}-grams: declares {expected} entries but {seen_per_order[k]} were read"
-            )
+            fail(where[k], f"\\{k}-grams: declares {expected} entries but {seen_per_order[k]} were read")
     vocabulary = frozenset(g[0] for g in prob if len(g) == 1)
     for gram in prob:
         for token in gram:

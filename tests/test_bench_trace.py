@@ -25,7 +25,8 @@ def small_corpus(tmp_path):
 
 
 def trace(tmp_path, *argv) -> dict:
-    """Run one pinasr command under the tracer; returns its spans by name."""
+    """Run one pinasr command under the tracer; returns its stats: spans
+    and counts by name."""
     stats = tmp_path / f"{argv[0]}.json"
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -34,7 +35,7 @@ def trace(tmp_path, *argv) -> dict:
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(stats.read_text(encoding="utf-8"))["spans"]
+    return json.loads(stats.read_text(encoding="utf-8"))
 
 
 def unseen(spans: dict, names) -> list[str]:
@@ -42,7 +43,7 @@ def unseen(spans: dict, names) -> list[str]:
 
 
 def test_tracer_sees_every_pipeline_layer(tmp_path, small_corpus):
-    spans = trace(tmp_path, "pipeline", "--eval-corpus", str(small_corpus), *FLAGS, "--out-dir", "out")
+    spans = trace(tmp_path, "pipeline", "--eval-corpus", str(small_corpus), *FLAGS, "--out-dir", "out")["spans"]
     assert unseen(spans, (
         "cli", "assets.load", "corpus.build", "simulate.synth", "ctc.emission_check", "ctc.beam",
         "ngram_lm.train", "ngram_lm.query", "transcriber.lattice", "transcriber.search", "metrics.score",
@@ -50,10 +51,20 @@ def test_tracer_sees_every_pipeline_layer(tmp_path, small_corpus):
 
 
 def test_tracer_sees_every_emission_file_layer(tmp_path, small_corpus):
-    spans = trace(tmp_path, "synth", "--eval-corpus", str(small_corpus), *FLAGS, "--out-dir", "em")
+    spans = trace(tmp_path, "synth", "--eval-corpus", str(small_corpus), *FLAGS, "--out-dir", "em")["spans"]
     assert unseen(spans, (
         "cli", "assets.load", "corpus.build", "simulate.synth", "ctc.emission_check", "ctc.em_write",
     )) == []
-    spans = trace(tmp_path, "decode", "--emissions", "em")
+    spans = trace(tmp_path, "decode", "--emissions", "em")["spans"]
     assert unseen(spans, ("cli", "ctc.em_read", "ctc.emission_check", "ctc.beam")) == []
     assert "assets.load" not in spans and "corpus.build" not in spans   # decode loads no assets or corpus
+
+
+def test_tracer_counts_lm_queries_of_both_searches_only(tmp_path, small_corpus):
+    # The tracer counts NGramModel.score_token calls by the innermost span:
+    # both searches query the LM, and nothing else does.
+    counts = trace(tmp_path, "pipeline", "--use-pinyin-lm", "--eval-corpus", str(small_corpus), *FLAGS,
+                   "--out-dir", "out")["counts"]
+    queries = {name: n for name, n in counts.items() if name.startswith("ngram_lm.queries.")}
+    assert set(queries) == {"ngram_lm.queries.ctc", "ngram_lm.queries.transcriber"}
+    assert all(n > 0 for n in queries.values()), queries

@@ -183,6 +183,39 @@ def test_transcribe_requires_char_lm(tmp_path, capsys):
     assert code == 2 and "char-lm" in err
 
 
+GOOD_ARPA = "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n"
+BAD_ARPA = GOOD_ARPA.replace("-0.5", "x")   # line 5: bad log probability 'x'
+
+
+@pytest.mark.parametrize("bad", ["char_lm", "pinyin_lm"])
+def test_malformed_lm_error_names_its_file(tmp_path, small_corpus, capsys, bad):
+    paths = {"char_lm": tmp_path / "char.arpa", "pinyin_lm": tmp_path / "units.arpa"}
+    for key, path in paths.items():
+        path.write_text(BAD_ARPA if key == bad else GOOD_ARPA, encoding="utf-8")
+    want = f"error: {paths[bad]}: line 5: bad log probability 'x'\n"
+    code, out, err = run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--char-lm", str(paths["char_lm"]),
+                         "--pinyin-lm", str(paths["pinyin_lm"]), "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", want)
+    if bad == "char_lm":
+        pinyin_file = write_sentences(tmp_path / "p.txt", ["zhong1 guo2"])
+        assert run(capsys, "transcribe", "--input", str(pinyin_file), "--char-lm", str(paths[bad])) == (1, "", want)
+    else:
+        em_dir = tmp_path / "em"
+        em_dir.mkdir()
+        (em_dir / "utt_0000.em").write_text("1 1 1\na\n0:0.0\n", encoding="utf-8")
+        assert run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(paths[bad])) == (1, "", want)
+
+
+def test_emission_file_error_names_its_file(tmp_path, capsys):
+    em_dir = tmp_path / "em"
+    em_dir.mkdir()
+    (em_dir / "utt_0000.em").write_text("1 1 1\na\n0:0.0\n", encoding="utf-8")
+    (em_dir / "utt_0001.em").write_text("2 1 1\na\n0:0.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "decode", "--emissions", str(em_dir))
+    assert code == 1 and out.startswith("utt_0000\ta\t")
+    assert err == f"error: {em_dir / 'utt_0001.em'}: line 1: header declares 2 frames, file has 1 rows\n"
+
+
 def test_stats_command_default_corpus(capsys):
     code, out, _ = run(capsys, "stats", "--n-max", "2")
     assert code == 0

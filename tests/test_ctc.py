@@ -1,5 +1,7 @@
 import io
 import math
+import re
+import traceback
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from reference_impls import (
     closure_prefix_beam_search,
     enumerate_ctc_distribution,
     min_frames_required,
+    reference_score,
     sequence_logprob,
 )
 
@@ -189,7 +192,7 @@ def test_lm_weight_flips_ranking_at_threshold():
     e = EmissionMatrix(grid, ("a", "b", "c"), blank_index=3)
     lm = train([["a", "b"]] * 9 + [["a", "c"]], order=2, discount=0.5, vocabulary=list("abc"))
     delta_acoustic = math.log10(0.6) - math.log10(0.4)
-    delta_lm = lm.score_token(["a"], "b") - lm.score_token(["a"], "c")
+    delta_lm = reference_score(lm, ["a"], "b") - reference_score(lm, ["a"], "c")
     assert delta_lm > 0
     threshold = delta_acoustic / delta_lm
     config = DecoderConfig(beam_width=16, lm_weight=threshold * 0.9)
@@ -251,6 +254,40 @@ def test_vocabulary_mismatch_raised(fusion_lm):
     e = one_hot_emissions([0], V=2, labels=("a", "zz"))
     with pytest.raises(VocabularyMismatch):
         prefix_beam_search(e, fusion_lm, DecoderConfig(beam_width=2))
+
+
+def test_alphabet_tables_are_kept_per_labels_blank_and_model(fusion_lm):
+    # The beam builds its per-alphabet tables once per (labels, blank index,
+    # LM). Each call below would meet a table cached for another key if the
+    # key lacked one part, and skip the vocabulary check or take the wrong blank.
+    wide = train([["a", "b", "z"]], order=2, discount=0.6, vocabulary=list("abz"))   # fusion_lm lacks "z"
+    config = DecoderConfig(beam_width=4, lm_weight=0.5)
+    rng = np.random.default_rng(5)
+    em = random_emissions(rng, 5, 3, labels=("a", "b", "z"))   # blank last
+    blank_first = EmissionMatrix(em.log_probs[:, [3, 0, 1, 2]], em.unit_labels, blank_index=0)
+    assert prefix_beam_search(em, wide, config) == closure_prefix_beam_search(em, wide, config)
+    for _ in range(2):   # a failed check leaves nothing cached
+        with pytest.raises(VocabularyMismatch, match="'z'"):   # other blank index and model
+            prefix_beam_search(blank_first, fusion_lm, config)
+        with pytest.raises(VocabularyMismatch, match="'z'"):   # a second model
+            prefix_beam_search(em, fusion_lm, config)
+        with pytest.raises(VocabularyMismatch, match="'y'"):   # a unit the LM lacks
+            prefix_beam_search(random_emissions(rng, 5, 3, labels=("a", "b", "y")), wide, config)
+    assert prefix_beam_search(blank_first, wide, config) == closure_prefix_beam_search(blank_first, wide, config)
+
+
+def test_emission_files_read_back_decode_like_their_matrices():
+    # Each file read back has its own label tuple, equal to the cached one.
+    rng = np.random.default_rng(6)
+    config = DecoderConfig(beam_width=4, lm_weight=0.5)
+    for lm in (None, TRIGRAM_LM):
+        for _ in range(4):
+            em = random_emissions(rng, 6, 5)
+            buf = io.StringIO()
+            write_emissions(em, buf)
+            back = read_emissions(io.StringIO(buf.getvalue()))
+            assert back.unit_labels == em.unit_labels and back.unit_labels is not em.unit_labels
+            assert prefix_beam_search(back, lm, config) == closure_prefix_beam_search(em, lm, config)
 
 
 def test_brute_force_guard():
@@ -346,8 +383,24 @@ def test_emission_file_round_trip_property(data):
 def test_emission_file_garbage_raises_only_value_errors(text):
     try:
         read_emissions(io.StringIO(text))
-    except ValueError:
-        pass
+    except ValueError as exc:
+        # EmissionMatrix's own checks name the row or label instead.
+        if traceback.extract_tb(exc.__traceback__)[-1].name != "__post_init__":
+            lineno = re.match(r"line (\d+): ", str(exc))
+            assert lineno and 1 <= int(lineno[1]) <= len(text.splitlines()) + 1, exc
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: emission file needs"),
+    ("1 1 1\n", "line 2: emission file needs"),
+    ("1 1 1\na\n", "line 1: header declares 1 frames, file has 0 rows"),
+    ("3 1 1\na\n1:0.0\n", "line 1: header declares 3 frames, file has 1 rows"),
+    ("0 1 1\na\n", "line 1: header declares 0 frames, need at least 1"),
+    ("-2 1 1\na\n1:0.0\n", "line 1: header declares -2 frames"),
+], ids=["empty", "no-labels", "no-rows", "short", "zero-frames", "negative-frames"])
+def test_read_emissions_names_the_header_line_for_missing_parts(text, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        read_emissions(io.StringIO(text))
 
 
 def test_read_emissions_rejects_rows_past_declared_frames():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from pinasr.ngram_lm import (
     train,
     write_arpa,
 )
-from reference_impls import arpa_perplexity, garbled_text, perplexity, prediction_vocabulary
+from reference_impls import arpa_perplexity, garbled_text, perplexity, prediction_vocabulary, reference_score
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
 
@@ -37,7 +38,7 @@ def hand_model():
 
 
 def linear(model, context, token):
-    return 10.0 ** model.score_token(context, token)
+    return 10.0 ** reference_score(model, context, token)
 
 
 def test_hand_worked_unigrams(hand_model):
@@ -80,19 +81,19 @@ def test_every_stored_context_normalizes(corpus, order, discount):
 
 def test_unseen_context_backs_off_to_unigram(hand_model):
     # context never stored: backoff weight absent, plain unigram score.
-    assert hand_model.score_token(["zz"], "a") == hand_model.score_token([], "a")
+    assert reference_score(hand_model, ["zz"], "a") == reference_score(hand_model, [], "a")
     # stored context, unseen continuation: bow(context) + unigram.
-    want = hand_model.backoff_table[("a",)] + hand_model.score_token([], "a")
-    assert hand_model.score_token(["a"], "a") == pytest.approx(want, abs=1e-12)
+    want = hand_model.backoff_table[("a",)] + reference_score(hand_model, [], "a")
+    assert reference_score(hand_model, ["a"], "a") == pytest.approx(want, abs=1e-12)
 
 
 def test_context_truncated_to_order(hand_model):
     long_context = ["c", "b", "a"]
-    assert hand_model.score_token(long_context, "b") == hand_model.score_token(["a"], "b")
+    assert reference_score(hand_model, long_context, "b") == reference_score(hand_model, ["a"], "b")
 
 
 def test_unknown_tokens_map_to_unk(hand_model):
-    assert hand_model.score_token([], "zz") == hand_model.score_token([], UNK)
+    assert reference_score(hand_model, [], "zz") == reference_score(hand_model, [], UNK)
 
 
 def test_closed_vocabulary_gives_unseen_tokens_mass():
@@ -105,7 +106,7 @@ def test_closed_vocabulary_gives_unseen_tokens_mass():
 def test_min_count_maps_rare_tokens():
     model = train([["a", "a", "b"]], order=1, discount=0.5, min_count=2)
     assert "b" not in model.vocabulary
-    assert model.score_token([], "b") == model.score_token([], UNK)
+    assert reference_score(model, [], "b") == reference_score(model, [], UNK)
 
 
 def test_train_validations():
@@ -188,7 +189,7 @@ def test_arpa_round_trip_exact():
     assert back.backoff_table == model.backoff_table
     queries = [((), "a"), (("a",), "b"), (("a", "b"), "a"), (("zz", "a"), "c"), ((BOS,), "a")]
     for context, token in queries:
-        assert back.score_token(context, token) == model.score_token(context, token)
+        assert reference_score(back, context, token) == reference_score(model, context, token)
 
 
 def test_arpa_counts_match_sections():
@@ -218,15 +219,22 @@ def test_arpa_missing_end_marker():
     buf = io.StringIO()
     write_arpa(model, buf)
     broken = buf.getvalue().replace("\\end\\", "")
-    with pytest.raises(MalformedArpa, match="end"):
+    with pytest.raises(MalformedArpa, match=f"^line {len(broken.splitlines()) + 1}: missing .*end"):
         read_arpa(io.StringIO(broken))
 
 
 def test_arpa_rejects_garbage():
     with pytest.raises(MalformedArpa):
         read_arpa(io.StringIO("not arpa at all\n"))
-    with pytest.raises(MalformedArpa, match="declares"):
+    with pytest.raises(MalformedArpa, match="^line 4: .*declares 2 entries but 1 were read"):
         read_arpa(io.StringIO("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n"))
+    # A declared order with no section: the count line.
+    with pytest.raises(MalformedArpa, match="^line 3: .*2-grams: declares 1 entries but 0 were read"):
+        read_arpa(io.StringIO("\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n"))
+    with pytest.raises(MalformedArpa, match="^line 1: .*missing .*data"):
+        read_arpa(io.StringIO(""))
+    with pytest.raises(MalformedArpa, match="^line 4: incomplete"):
+        read_arpa(io.StringIO("\n\\data\\\nngram 2=1\n\n\\end\\\n"))
     with pytest.raises(MalformedArpa, match="bad log probability"):
         read_arpa(io.StringIO("\\data\\\nngram 1=1\n\n\\1-grams:\nxx\ta\n\n\\end\\\n"))
 
@@ -241,7 +249,7 @@ BIGRAM_ARPA = (
 def test_bigram_arpa_fixture_reads():
     model = read_arpa(io.StringIO(BIGRAM_ARPA))
     assert model.prob_table[(BOS,)] == -99.0  # the begin-marker placeholder stays legal
-    assert model.score_token([BOS], "a") == -0.1
+    assert reference_score(model, [BOS], "a") == -0.1
 
 
 @pytest.mark.parametrize("old, new, line", [
@@ -271,13 +279,13 @@ def test_out_of_vocabulary_token_without_unk_raises():
     text = BIGRAM_ARPA.replace("-0.4\t<unk>\n", "").replace("ngram 1=4", "ngram 1=3")
     model = read_arpa(io.StringIO(text))
     assert UNK not in model.vocabulary
-    assert model.score_token([BOS], "a") == -0.1
+    assert reference_score(model, [BOS], "a") == -0.1
     with pytest.raises(OutOfVocabulary, match="'zz'"):
-        model.score_token([BOS], "zz")
+        reference_score(model, [BOS], "zz")
     with pytest.raises(OutOfVocabulary, match="'zz'"):
-        model.score_token([], "zz")
+        reference_score(model, [], "zz")
     with pytest.raises(OutOfVocabulary, match="'zz'"):
-        model.score_token(["zz"], "a")
+        reference_score(model, ["zz"], "a")
     assert issubclass(OutOfVocabulary, ValueError)
 
 
@@ -293,8 +301,9 @@ def test_read_arpa_rejects_ngram_token_without_unigram(old, new, line, token):
         read_arpa(io.StringIO(text))
 
 
-# Minimized LM state (NGramModel.state): random models, trained and read
-# from ARPA text, with and without <unk>, and contexts with unknown tokens.
+# The compiled LM (NGramModel.state, word, score_token): random models,
+# trained and read from ARPA text, with and without <unk>, and contexts with
+# unknown tokens, checked against the string walk reference_score.
 
 MODEL_TOKENS = ("a", "b", "c")
 QUERY_TOKENS = (*MODEL_TOKENS, "z", BOS, EOS, UNK)   # "z" is out of every model's vocabulary
@@ -302,17 +311,25 @@ QUERY_TOKENS = (*MODEL_TOKENS, "z", BOS, EOS, UNK)   # "z" is out of every model
 
 @st.composite
 def trained_models(draw):
+    """Trained models of order 1-4, open or closed over "abc", some with
+    every n-gram that holds <unk> (and <unk> itself) taken out."""
     corpus = draw(st.lists(st.lists(st.sampled_from("abcz"), max_size=6), min_size=1, max_size=6))
     order = draw(st.integers(1, 4))
     closed = draw(st.booleans())
-    return train(corpus, order=order, discount=draw(st.floats(0.1, 0.9)),
-                 min_count=draw(st.integers(1, 2)), vocabulary=MODEL_TOKENS if closed else None)
+    model = train(corpus, order=order, discount=draw(st.floats(0.1, 0.9)),
+                  min_count=draw(st.integers(1, 2)), vocabulary=MODEL_TOKENS if closed else None)
+    if draw(st.booleans()):
+        return model
+    return NGramModel(order, model.vocabulary - {UNK},
+                      {gram: p for gram, p in model.prob_table.items() if UNK not in gram},
+                      {gram: b for gram, b in model.backoff_table.items() if UNK not in gram})
 
 
 @st.composite
-def arpa_models(draw):
-    """ARPA text with arbitrary n-grams and backoff weights, so histories
-    may lack their prefixes and stored contexts their backoff weights."""
+def arpa_tables(draw):
+    """(order, vocabulary, n-gram log10 probabilities, backoff weights) with
+    arbitrary n-grams and weights, so histories may lack their prefixes and
+    stored contexts their backoff weights."""
     order = draw(st.integers(1, 4))
     vocabulary = [*MODEL_TOKENS, BOS, EOS] + ([UNK] if draw(st.booleans()) else [])
     grams = [(t,) for t in vocabulary]
@@ -325,12 +342,16 @@ def arpa_models(draw):
     logprob = st.floats(-3.0, 0.0)
     prob = {gram: draw(logprob) for gram in grams}
     backoff = {gram: draw(st.floats(-2.0, 1.0)) for gram in grams if draw(st.booleans())}
+    return order, frozenset(vocabulary), prob, backoff
+
+
+def arpa_model(tables):
     buf = io.StringIO()
-    write_arpa(NGramModel(order, frozenset(vocabulary), prob, backoff), buf)
+    write_arpa(NGramModel(*tables), buf)
     return read_arpa(io.StringIO(buf.getvalue()))
 
 
-LM_MODELS = st.one_of(trained_models(), arpa_models())
+LM_MODELS = st.one_of(trained_models(), arpa_tables().map(arpa_model))
 
 
 def outcome(call):
@@ -341,18 +362,22 @@ def outcome(call):
         return OutOfVocabulary
 
 
-def check_state(model, context, token):
-    full = outcome(lambda: model.score_token(context, token))
+def check_state(model, contexts, context, token):
+    """One query: the compiled ``score_token(state(h), word(w))`` against
+    the string walk; ``contexts`` is ``model.state_contexts()``."""
+    full = outcome(lambda: reference_score(model, context, token))
     state = outcome(lambda: model.state(context))
-    if UNK not in model.vocabulary and "z" in [*context[max(0, len(context) - model.order + 1):], token]:
+    word = outcome(lambda: model.word(token))
+    seen = [*context[max(0, len(context) - model.order + 1):], token]
+    if UNK not in model.vocabulary and any(t not in model.vocabulary for t in seen):
         assert full is OutOfVocabulary
-    if state is OutOfVocabulary:
+    if OutOfVocabulary in (state, word):
         assert full is OutOfVocabulary
         return
-    assert outcome(lambda: model.score_token(state, token)) == full
-    following = outcome(lambda: model.state((*context, token)))
-    assert outcome(lambda: model.state(state + (token,))) == following
-    assert outcome(lambda: model.next_state(state, token)) == following
+    assert model.score_token(state, word) == (full, model.state((*context, token)))
+    # The state's own tokens are a context with that state and those scores.
+    assert model.state(contexts[state]) == state
+    assert reference_score(model, contexts[state], token) == full
 
 
 @given(LM_MODELS, st.lists(st.sampled_from(QUERY_TOKENS), max_size=3))
@@ -360,10 +385,22 @@ def check_state(model, context, token):
 def test_state_scores_like_the_full_context(model, lead):
     # Each context ends in part of a stored n-gram, so the checks reach the
     # stored contexts and the prefixes between them.
+    contexts = model.state_contexts()
     for stem in chain(model.prob_table, model.backoff_table):
         for cut in range(len(stem)):
             for token in (stem[cut], *QUERY_TOKENS):
-                check_state(model, [*lead, *stem[:cut]], token)
+                check_state(model, contexts, [*lead, *stem[:cut]], token)
+
+
+@given(arpa_tables())
+@settings(max_examples=100, deadline=None)
+def test_compiled_tables_give_back_the_stored_ones(tables):
+    # Only a backoff weight on a top-order n-gram, which no query reaches, is dropped.
+    order, vocabulary, prob, backoff = tables
+    model = NGramModel(*tables)
+    assert set(model.vocabulary) == vocabulary
+    assert model.prob_table == prob
+    assert model.backoff_table == {gram: bow for gram, bow in backoff.items() if len(gram) < order}
 
 
 def test_state_closes_missing_prefixes():
@@ -376,24 +413,29 @@ def test_state_closes_missing_prefixes():
         "\\2-grams:\n\n\\3-grams:\n-0.1\ta b c\n\n\\end\\\n"
     )
     model = read_arpa(io.StringIO(text))
-    assert model.state(["x", "a"]) == ("a",)
-    assert model.state(["x", "a", "b"]) == ("a", "b")
-    assert model.state(["a", "b", "b"]) == ()
-    assert model.state(model.state(["x", "a"]) + ("b",)) == model.state(["x", "a", "b"])
-    assert model.next_state(("a",), "b") == ("a", "b")
-    assert model.next_state(("a", "b"), "b") == ()
-    assert model.score_token(model.state(["x", "a", "b"]), "c") == -0.1
-    assert train([["a"]], order=1).state(["a", "zz"]) == ()
-    assert train([["a"]], order=1).next_state((), "zz") == ()
+    contexts = model.state_contexts()
+    assert sorted(contexts) == [(), ("a",), ("a", "b")]
+    assert contexts[model.state(["x", "a"])] == ("a",)
+    assert contexts[model.state(["x", "a", "b"])] == ("a", "b")
+    assert model.state(["a", "b", "b"]) == 0 and contexts[0] == ()
+    b, c = model.word("b"), model.word("c")
+    assert model.score_token(model.state(["x", "a"]), b)[1] == model.state(["x", "a", "b"])
+    assert model.score_token(model.state(["a", "b"]), b)[1] == 0
+    assert model.score_token(model.state(["x", "a", "b"]), c)[0] == -0.1
+    unigram = train([["a"]], order=1)
+    assert unigram.state(["a", "zz"]) == 0
+    assert unigram.score_token(0, unigram.word("zz"))[1] == 0
 
 
 def test_trained_model_contexts_are_its_backoff_keys():
-    # A trained model is already prefix-closed: its stored contexts are its
-    # backoff keys and (), and the set holds the very key tuples.
+    # A trained model is already prefix-closed: its states are its backoff
+    # keys and (), each once, and compiling keeps no tuple-keyed table.
     model = train([["a", "b", "c", "a"], ["b", "a"]], order=4, discount=0.6)
-    contexts = model._contexts
-    assert contexts == set(model.backoff_table) | {()}
-    assert {id(c) for c in contexts} == {id(k) for k in model.backoff_table} | {id(())}
+    contexts = model.state_contexts()
+    assert sorted(contexts) == sorted(set(model.backoff_table) | {()})
+    assert [model.state(ctx) for ctx in contexts] == list(range(len(contexts)))
+    tables = [value for value in vars(model).values() if isinstance(value, (dict, set))]
+    assert tables and not any(isinstance(key, tuple) for table in tables for key in table)
 
 
 def arpa_lines(model):
@@ -407,5 +449,6 @@ def arpa_lines(model):
 def test_read_arpa_garbage_raises_only_value_errors(text):
     try:
         read_arpa(io.StringIO(text))
-    except ValueError:
-        pass
+    except MalformedArpa as exc:
+        lineno = re.match(r"line (\d+): ", str(exc))
+        assert lineno and 1 <= int(lineno[1]) <= len(text.splitlines()) + 1, exc

@@ -15,7 +15,7 @@ from pinasr.transcriber import (
     beam_transcribe,
     build_lattice_lenient,
 )
-from reference_impls import enumerate_lattice_best, raw_state_beam_transcribe
+from reference_impls import enumerate_lattice_best, raw_state_beam_transcribe, reference_score
 from test_ngram_lm import BIGRAM_ARPA, LM_MODELS, outcome
 
 ALPHABET = list("ABCDEFGHIJ")
@@ -80,9 +80,9 @@ def test_forced_path_when_single_candidates():
     result = beam_transcribe(lattice, lm, channel_weight=2.0, beam_width=None)[0]
     assert result.hanzi == "XY"
     want = (
-        lm.score_token(["<s>"], "X") + 2.0 * math.log10(0.5)
-        + lm.score_token(["X"], "Y") + 2.0 * math.log10(0.25)
-        + lm.score_token(["Y"], "</s>")
+        reference_score(lm, ["<s>"], "X") + 2.0 * math.log10(0.5)
+        + reference_score(lm, ["X"], "Y") + 2.0 * math.log10(0.25)
+        + reference_score(lm, ["Y"], "</s>")
     )
     assert result.total_score == pytest.approx(want, abs=1e-12)
 
@@ -188,9 +188,9 @@ def test_beam_width_one_is_greedy_chain():
     for candidates in lattice.positions:
         best = max(
             candidates,
-            key=lambda cw: (lm.score_token(context, cw[0]) + cw[1], [-ord(x) for x in cw[0]]),
+            key=lambda cw: (reference_score(lm, context, cw[0]) + cw[1], [-ord(x) for x in cw[0]]),
         )
-        score += lm.score_token(context, best[0]) + best[1]
+        score += reference_score(lm, context, best[0]) + best[1]
         context = (context + (best[0],))[-1:]
         chars.append(best[0])
     assert results[0].hanzi == "".join(chars)
