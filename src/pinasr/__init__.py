@@ -22,7 +22,6 @@ from .metrics import ScoreReport, edit_distance, error_rate, tone_stripped_resco
 from .ngram_lm import NGramModel, read_arpa, train, write_arpa
 from .pinyin import (
     PronunciationLexicon,
-    Syllable,
     SyllableInventory,
     hanzi_to_pinyin,
     parse_syllable,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import EmptyCorpus, ParallelCorpus
+from .pinyin import strip_tone
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,7 @@ def mapping_stats(corpus: ParallelCorpus, n: int, tonal: bool = True) -> Mapping
         raise EmptyCorpus("mapping_stats of an empty corpus")
     realizations: dict[tuple[str, ...], set[str]] = {}
     for hanzi, pinyin in corpus.pairs:
-        if tonal:
-            units = [str(s) for s in pinyin]
-        else:
-            units = [s.segment for s in pinyin]
+        units = pinyin if tonal else [strip_tone(u) for u in pinyin]
         for i in range(len(hanzi) - n + 1):
             key = tuple(units[i:i + n])
             realizations.setdefault(key, set()).add(hanzi[i:i + n])

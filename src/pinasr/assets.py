@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import build_parallel
-from .pinyin import PronunciationLexicon, SyllableInventory
+from .pinyin import PronunciationLexicon, SyllableInventory, strip_tone
 
 # Full-scale Mandarin references, for context in reports (a desk-scale
 # bundle is intentionally smaller): ~4333 characters, 2020 tonal units,
@@ -127,7 +127,7 @@ def validate_assets(manifest_path: Path | None = None) -> ValidationReport:
         checks.append(Check("load", False, str(exc)))
         return ValidationReport(checks=tuple(checks))
 
-    stripped = {u[:-1] for u in inventory.tonal_units}
+    stripped = set(map(strip_tone, inventory.tonal_units))
     checks.append(
         Check(
             "tone-strip-surjective",

@@ -27,8 +27,8 @@ from . import ambiguity, assets, metrics, ngram_lm, transcriber
 from .corpus import EmptyCorpus, build_parallel, filter_sentences, read_parallel_tsv
 from .ctc import DecoderConfig, EmissionMatrix, prefix_beam_search, read_emissions, write_emissions
 from .ngram_lm import NGramModel
-from .pinyin import PronunciationLexicon, SyllableInventory
-from .simulate import POLICIES, SimConfig, synth_emissions
+from .pinyin import PronunciationLexicon, SyllableInventory, strip_tone
+from .simulate import SimConfig, synth_emissions
 
 
 class ConfigError(ValueError):
@@ -147,19 +147,35 @@ def _ref_lines(utterances) -> list[str]:
     return [f"utt_{i:04d}\t{hanzi}\t{' '.join(units)}" for i, (hanzi, units) in enumerate(utterances)]
 
 
+def sim_config(config: PipelineConfig, index: int = 0) -> SimConfig:
+    """The synthesis settings of utterance ``index``, seeded by ``seed + index``."""
+    return SimConfig(frames_per_unit=config.frames_per_unit, blank_fill=config.blank_fill,
+                     confusion_temperature=config.temperature, confusion_policy=config.confusion_policy,
+                     seed=config.seed + index)
+
+
 def check_config(config: PipelineConfig) -> None:
-    """Raise ConfigError for a ``unit_mode`` or ``confusion_policy`` outside
-    its choices, an LM order outside [1, MAX_ORDER] or an ``lm_discount``
-    outside (0, 1); every command runs this before it loads or writes anything."""
+    """Raise ConfigError for a ``unit_mode`` outside its choices, an LM order
+    outside [1, MAX_ORDER], an ``lm_discount`` outside (0, 1), a
+    ``transcriber_beam`` below 1, a ``min_len`` outside [1, ``max_len``] or a
+    setting that DecoderConfig or SimConfig rejects (``confusion_policy``
+    among them); every command runs this before it loads or writes anything."""
     if config.unit_mode not in ("tonal", "toneless"):
         raise ConfigError(f"unit_mode must be tonal or toneless, got {config.unit_mode!r}")
-    if config.confusion_policy not in POLICIES:
-        raise ConfigError(f"confusion_policy must be one of {POLICIES}")
     for key in ("pinyin_lm_order", "char_lm_order"):
         if not 1 <= getattr(config, key) <= ngram_lm.MAX_ORDER:
             raise ConfigError(f"{key} must be in [1, {ngram_lm.MAX_ORDER}], got {getattr(config, key)}")
     if not 0.0 < config.lm_discount < 1.0:
         raise ConfigError(f"lm_discount must be in (0, 1), got {config.lm_discount}")
+    if config.transcriber_beam < 1:
+        raise ConfigError(f"transcriber_beam must be >= 1, got {config.transcriber_beam}")
+    if not 1 <= config.min_len <= config.max_len:
+        raise ConfigError(f"min_len must be in [1, max_len], got {config.min_len} with max_len {config.max_len}")
+    try:
+        decoder_config(config)
+        sim_config(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 class Pipeline:
@@ -178,24 +194,17 @@ class Pipeline:
                         else assets.default_lexicon())
         self.alphabet = tuple(sorted(self.inventory.tonal_units if self.tonal else self.inventory.toneless_units))
 
-    def units(self, pinyin) -> list[str]:
-        """The unit labels of a syllable sequence: tonal syllables or their segments."""
-        return [str(s) if self.tonal else s.segment for s in pinyin]
-
     def utterances(self, path: str, default_name: str, name: str) -> list[tuple[str, list[str]]]:
         """(Hanzi, units) of each sentence within the length bounds in a
         sentence file; an empty path reads the bundled ``default_name``."""
         c = self.config
         sentences = filter_sentences(_read_lines(path, default_name), c.min_len, c.max_len)
-        return [(h, self.units(p)) for h, p in build_parallel(sentences.sentences, self.lexicon, name).pairs]
+        pairs = build_parallel(sentences.sentences, self.lexicon, name).pairs
+        return [(h, list(p) if self.tonal else [strip_tone(u) for u in p]) for h, p in pairs]
 
     def synthesize(self, units: list[str], index: int) -> EmissionMatrix:
         """The emissions of utterance ``index``, seeded by ``seed + index``."""
-        c = self.config
-        sim = SimConfig(frames_per_unit=c.frames_per_unit, blank_fill=c.blank_fill,
-                        confusion_temperature=c.temperature, confusion_policy=c.confusion_policy,
-                        seed=c.seed + index)
-        return synth_emissions(units, self.alphabet, sim)
+        return synth_emissions(units, self.alphabet, sim_config(self.config, index))
 
     def lms(self) -> tuple[NGramModel | None, NGramModel]:
         """The unit LM (None with ``use_pinyin_lm`` off) and the char LM, each
@@ -232,6 +241,15 @@ class PipelineResult:
     scores: dict[str, metrics.ScoreReport]   # uer, uer_tone_stripped (tonal units only), cer
 
 
+def _read_emission_file(path: Path) -> EmissionMatrix:
+    """The emissions in ``path``; a read error names the file first."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return read_emissions(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def _check_refs(path: Path, utterances) -> None:
     """Fail unless synth's refs.tsv lists exactly these utterances, in order,
     so ingested emissions are scored against their own references."""
@@ -260,11 +278,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     decoder = decoder_config(config)
     hyp_units, transcripts = [], []
     for index, (_, units) in enumerate(evals):
-        stage = "synthesize"
+        stage = "ingest" if config.emissions_dir else "synthesize"
         try:
             if config.emissions_dir:
-                with open(Path(config.emissions_dir) / f"utt_{index:04d}.em", encoding="utf-8") as fh:
-                    emissions = read_emissions(fh)
+                emissions = _read_emission_file(Path(config.emissions_dir) / f"utt_{index:04d}.em")
             else:
                 emissions = pipe.synthesize(units, index)
             stage = "decode"
@@ -359,12 +376,7 @@ def cmd_decode(args, config: PipelineConfig) -> int:
         print(f"no *.em files under {source}", file=sys.stderr)
         return 1
     for path in files:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                emissions = read_emissions(fh)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-        units, score = prefix_beam_search(emissions, lm, decoder)[0]
+        units, score = prefix_beam_search(_read_emission_file(path), lm, decoder)[0]
         print(f"{path.stem}\t{' '.join(units)}\t{score:.6f}")
     return 0
 

@@ -10,7 +10,6 @@ from .pinyin import (
     InvalidSyllable,
     InvalidTone,
     PronunciationLexicon,
-    Syllable,
     SyllableInventory,
     UnknownCharacter,
     hanzi_to_pinyin,
@@ -82,7 +81,7 @@ class ParallelCorpus:
     """Sentence-aligned (Hanzi, tonal pinyin) pairs; pinyin length always
     equals the character count."""
 
-    pairs: list[tuple[str, tuple[Syllable, ...]]]
+    pairs: list[tuple[str, tuple[str, ...]]]
     source_tag: str = "inline"
     skipped: int = 0
 
@@ -97,7 +96,7 @@ def build_parallel(
 ) -> ParallelCorpus:
     """Pair each sentence with its pinyin; uncovered sentences are skipped
     and counted, never partially converted."""
-    pairs: list[tuple[str, tuple[Syllable, ...]]] = []
+    pairs: list[tuple[str, tuple[str, ...]]] = []
     skipped = 0
     for sentence in sentences:
         try:
@@ -113,7 +112,7 @@ def read_parallel_tsv(source, inventory: SyllableInventory, source_tag: str = "t
     """Read ``hanzi<TAB>space-joined-pinyin`` lines; validates unit
     membership and the length-equality invariant. Every error names its line
     and is a ValueError (InvalidSyllable or InvalidTone for a bad unit)."""
-    pairs: list[tuple[str, tuple[Syllable, ...]]] = []
+    pairs: list[tuple[str, tuple[str, ...]]] = []
     for lineno, raw in enumerate(source, 1):
         line = raw.rstrip("\n")
         if not line.strip():

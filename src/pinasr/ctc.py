@@ -38,6 +38,14 @@ class VocabularyMismatch(ValueError):
     """The fusion LM does not cover the emission unit alphabet."""
 
 
+class NotNormalized(ValueError):
+    """An emission row's probabilities do not sum to 1."""
+
+    def __init__(self, row: int, total: float):
+        super().__init__(f"row {row} sums to {total:.8f}, not 1")
+        self.row = row
+
+
 def log10addexp(a: float, b: float) -> float:
     """log10(10**a + 10**b), stable for the -inf cases."""
     if a == NEG_INF:
@@ -93,7 +101,7 @@ class EmissionMatrix:
         row_sums = np.bincount(rows, weights=np.power(10.0, lp[rows, cols]), minlength=lp.shape[0])
         bad = np.nonzero(np.abs(row_sums - 1.0) > 1e-5)[0]
         if bad.size:
-            raise ValueError(f"row {bad[0]} sums to {row_sums[bad[0]]:.8f}, not 1")
+            raise NotNormalized(int(bad[0]), row_sums[bad[0]])
 
     @property
     def num_frames(self) -> int:
@@ -264,9 +272,10 @@ def write_emissions(emissions: EmissionMatrix, sink) -> None:
 def read_emissions(source) -> EmissionMatrix:
     """Parse the text form written by ``write_emissions`` from the file
     object ``source``. Raises ValueError naming the line for a bad header or
-    label line, too few or too many rows, an entry that is not ``class:value``
-    (a dense row from an earlier version included), a class out of range,
-    repeated or out of order, or a value that is not finite."""
+    label line, a blank index out of range, a repeated label, too few or too
+    many rows, an entry that is not ``class:value`` (a dense row from an
+    earlier version included), a class out of range, repeated or out of
+    order, a value that is not finite, or a row that does not sum to 1."""
     lines = source.read().splitlines()
     if len(lines) < 2:
         raise ValueError(f"line {len(lines) + 1}: emission file needs a header line and a label line")
@@ -276,9 +285,16 @@ def read_emissions(source) -> EmissionMatrix:
         raise ValueError(f"line 1: bad header {lines[0]!r}, expected integers 'T V blank_index'") from None
     if T < 1:
         raise ValueError(f"line 1: header declares {T} frames, need at least 1")
+    if V < 1:
+        raise ValueError(f"line 1: header declares {V} units, need at least 1")
+    if not 0 <= blank_index <= V:
+        raise ValueError(f"line 1: blank_index {blank_index} out of range [0, {V}]")
     unit_labels = tuple(lines[1].split())
     if len(unit_labels) != V:
         raise ValueError(f"line 2: header declares {V} units, label line has {len(unit_labels)}")
+    if len(set(unit_labels)) != V:
+        duplicate = next(u for i, u in enumerate(unit_labels) if u in unit_labels[:i])
+        raise ValueError(f"line 2: duplicate unit label {duplicate!r}")
     if len(lines) < 2 + T:
         raise ValueError(f"line 1: header declares {T} frames, file has {len(lines) - 2} rows")
     if len(lines) > 2 + T:
@@ -302,4 +318,7 @@ def read_emissions(source) -> EmissionMatrix:
                 raise ValueError(f"line {line_no}: class {c} value {value_text!r} is not finite")
             log_probs[t, c] = value
             previous = c
-    return EmissionMatrix(log_probs=log_probs, unit_labels=unit_labels, blank_index=blank_index)
+    try:
+        return EmissionMatrix(log_probs=log_probs, unit_labels=unit_labels, blank_index=blank_index)
+    except NotNormalized as exc:
+        raise ValueError(f"line {3 + exc.row}: {exc}") from None

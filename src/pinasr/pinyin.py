@@ -5,11 +5,12 @@ e.g. ``zhong1``. Tone 5 is the neutral tone, and ``v`` stands in for
 u-umlaut (``lv4``), so every unit is plain ASCII. A toneless unit is the
 same string without the digit (``zhong``).
 
-Which units exist is not hardcoded: a :class:`SyllableInventory` is loaded
-from a data file and defines validity. The initial/final split of a unit is
-derived by longest-prefix matching against the fixed onset list below;
-``y`` and ``w`` are treated as onsets, pure-vowel syllables (``e``, ``ai``)
-have an empty onset.
+Units are plain strings everywhere, and only :func:`strip_tone` and
+:func:`split_unit` take one apart. Which units exist is not hardcoded: a
+:class:`SyllableInventory` is loaded from a data file and defines validity.
+``split_unit`` finds the initial by longest-prefix matching against the
+fixed onset list below; ``y`` and ``w`` are treated as onsets, pure-vowel
+syllables (``e``, ``ai``) have an empty onset.
 """
 
 from __future__ import annotations
@@ -44,39 +45,24 @@ ONSETS = (
     "z", "c", "s", "y", "w",
 )
 
-NEUTRAL_TONE = 5
-
 _TONAL_RE = re.compile(r"^[a-z]+[1-5]$")
 
 
-def split_segment(segment: str) -> tuple[str, str]:
-    """Split a toneless segment into (initial, final) by onset prefix."""
+def strip_tone(unit: str) -> str:
+    """The toneless unit: ``unit`` without its tone digit, if it has one."""
+    return unit[:-1] if unit[-1:].isdigit() else unit
+
+
+def split_unit(unit: str) -> tuple[str, str, str]:
+    """(initial, final, tone) of a tonal or toneless unit, by longest onset
+    prefix; the initial is '' for a pure-vowel unit, the tone '' for a
+    toneless one."""
+    segment = strip_tone(unit)
+    tone = unit[len(segment):]
     for onset in ONSETS:
         if segment.startswith(onset) and len(segment) > len(onset):
-            return onset, segment[len(onset):]
-    return "", segment
-
-
-@dataclass(frozen=True, order=True)
-class Syllable:
-    """One tonal pinyin unit, decomposed as initial + final + tone."""
-
-    initial: str
-    final: str
-    tone: int
-
-    def __str__(self) -> str:
-        return f"{self.initial}{self.final}{self.tone}"
-
-    @property
-    def segment(self) -> str:
-        """The toneless romanization (initial + final)."""
-        return self.initial + self.final
-
-
-def strip_tone(syllable: Syllable) -> str:
-    """Drop the tone, returning the toneless unit string."""
-    return syllable.segment
+            return onset, segment[len(onset):], tone
+    return "", segment, tone
 
 
 @dataclass(frozen=True)
@@ -97,7 +83,7 @@ class SyllableInventory:
         for unit in tonal:
             if not _TONAL_RE.match(unit):
                 raise InvalidSyllable(f"malformed tonal unit {unit!r}")
-        toneless = frozenset(u[:-1] for u in tonal)
+        toneless = frozenset(map(strip_tone, tonal))
         return cls(tonal_units=tonal, toneless_units=toneless, version=version)
 
     @classmethod
@@ -118,18 +104,11 @@ class SyllableInventory:
                 if not _TONAL_RE.match(line):
                     raise InvalidSyllable(f"{path}:{lineno}: malformed tonal unit {line!r}")
                 units.append(line)
-        inv = cls.from_units(units, version=version)
-        return inv
-
-    def __contains__(self, unit: str) -> bool:
-        return unit in self.tonal_units
-
-    def __len__(self) -> int:
-        return len(self.tonal_units)
+        return cls.from_units(units, version=version)
 
 
-def parse_syllable(text: str, inventory: SyllableInventory) -> Syllable:
-    """Parse a tonal unit like ``zhong1`` into a :class:`Syllable`.
+def parse_syllable(text: str, inventory: SyllableInventory) -> str:
+    """Normalize a tonal unit like ``ZHONG1`` to its lowercase form ``zhong1``.
 
     Raises InvalidTone when the trailing tone digit is missing or not 1-5,
     InvalidSyllable when the unit is not in the inventory.
@@ -143,8 +122,7 @@ def parse_syllable(text: str, inventory: SyllableInventory) -> Syllable:
         raise InvalidTone(f"tone digit out of range in {text!r}")
     if text not in inventory.tonal_units:
         raise InvalidSyllable(f"not in inventory ({inventory.version}): {text!r}")
-    initial, final = split_segment(text[:-1])
-    return Syllable(initial=initial, final=final, tone=int(text[-1]))
+    return text
 
 
 class PronunciationLexicon:
@@ -156,16 +134,16 @@ class PronunciationLexicon:
     construction and safe to share across threads.
     """
 
-    def __init__(self, entries: dict[str, Sequence[tuple[Syllable, float]]], version: str = "inline"):
+    def __init__(self, entries: dict[str, Sequence[tuple[str, float]]], version: str = "inline"):
         self.version = version
-        self._entries: dict[str, tuple[tuple[Syllable, float], ...]] = {}
+        self._entries: dict[str, tuple[tuple[str, float], ...]] = {}
         for char, readings in entries.items():
             if not readings:
                 raise ValueError(f"empty reading list for {char!r}")
-            for syl, weight in readings:
+            for unit, weight in readings:
                 if weight <= 0:
-                    raise ValueError(f"non-positive weight {weight} for {char!r} {syl}")
-            ordered = tuple(sorted(readings, key=lambda rw: (-rw[1], str(rw[0]))))
+                    raise ValueError(f"non-positive weight {weight} for {char!r} {unit}")
+            ordered = tuple(sorted(readings, key=lambda rw: (-rw[1], rw[0])))
             self._entries[char] = ordered
         # Homophone indexes: unit string -> list of (char, P(reading | char)).
         tonal_index: dict[str, list[tuple[str, float]]] = {}
@@ -173,9 +151,9 @@ class PronunciationLexicon:
         for char, readings in self._entries.items():
             total = sum(w for _, w in readings)
             toneless_mass: dict[str, float] = {}
-            for syl, weight in readings:
-                tonal_index.setdefault(str(syl), []).append((char, weight / total))
-                seg = syl.segment
+            for unit, weight in readings:
+                tonal_index.setdefault(unit, []).append((char, weight / total))
+                seg = strip_tone(unit)
                 toneless_mass[seg] = toneless_mass.get(seg, 0.0) + weight / total
             for seg, mass in toneless_mass.items():
                 toneless_index.setdefault(seg, []).append((char, mass))
@@ -185,7 +163,7 @@ class PronunciationLexicon:
     @classmethod
     def from_file(cls, path, inventory: SyllableInventory) -> "PronunciationLexicon":
         """Load a TSV of ``character<TAB>unit<TAB>weight`` rows."""
-        entries: dict[str, list[tuple[Syllable, float]]] = {}
+        entries: dict[str, list[tuple[str, float]]] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
@@ -204,10 +182,10 @@ class PronunciationLexicon:
                 if weight <= 0:
                     raise ValueError(f"{path}:{lineno}: weight must be positive")
                 try:
-                    syl = parse_syllable(unit, inventory)
+                    unit = parse_syllable(unit, inventory)
                 except (InvalidSyllable, InvalidTone) as exc:
                     raise type(exc)(f"{path}:{lineno}: {exc}") from None
-                entries.setdefault(char, []).append((syl, weight))
+                entries.setdefault(char, []).append((unit, weight))
         return cls(entries, version=str(path))
 
     def __contains__(self, char: str) -> bool:
@@ -220,7 +198,7 @@ class PronunciationLexicon:
     def characters(self) -> Iterable[str]:
         return self._entries.keys()
 
-    def readings(self, char: str) -> tuple[tuple[Syllable, float], ...]:
+    def readings(self, char: str) -> tuple[tuple[str, float], ...]:
         return self._entries[char]
 
     def homophones(self, unit: str, tonal: bool = True) -> tuple[tuple[str, float], ...]:
@@ -237,7 +215,7 @@ class PronunciationLexicon:
         return frozenset(self._tonal_index.keys())
 
 
-def hanzi_to_pinyin(sentence: str, lexicon: PronunciationLexicon) -> list[Syllable]:
+def hanzi_to_pinyin(sentence: str, lexicon: PronunciationLexicon) -> list[str]:
     """Convert a Hanzi sentence to one tonal unit per character.
 
     Heteronyms take their highest-weight reading. Raises UnknownCharacter

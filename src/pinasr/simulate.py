@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .ctc import EmissionMatrix
-from .pinyin import InvalidSyllable, Syllable, split_segment
+from .pinyin import InvalidSyllable, split_unit
 
 POLICIES = ("tone-neighbor", "final-neighbor", "uniform")
 
@@ -53,20 +53,12 @@ class SimConfig:
             raise ValueError(f"unknown confusion_policy {self.confusion_policy!r}, want one of {POLICIES}")
 
 
-def _split_unit(label: str) -> tuple[str, str, str]:
-    """(initial, final, tone) of a unit label; tone is '' for toneless."""
-    tone = label[-1] if label[-1].isdigit() else ""
-    segment = label[:-1] if tone else label
-    initial, final = split_segment(segment)
-    return initial, final, tone
-
-
 @lru_cache(maxsize=8)
 def confusion_map(alphabet: tuple[str, ...], policy: str) -> dict[str, tuple[int, ...]]:
     """Unit label -> ascending alphabet indexes of its confusable units."""
     if policy == "uniform":
         return {label: tuple(i for i, other in enumerate(alphabet) if other != label) for label in alphabet}
-    parts = [_split_unit(label) for label in alphabet]
+    parts = [split_unit(label) for label in alphabet]
     # Neighbours share a bucket: (initial, final) for tone-neighbor,
     # (final, tone) for final-neighbor. Buckets fill in index order.
     if policy == "tone-neighbor":
@@ -87,13 +79,13 @@ def confusion_map(alphabet: tuple[str, ...], policy: str) -> dict[str, tuple[int
 
 
 def synth_emissions(
-    pinyin: Sequence[Syllable | str],
+    pinyin: Sequence[str],
     alphabet: Sequence[str],
     config: SimConfig,
 ) -> EmissionMatrix:
     """Render a unit sequence as a T x (V+1) emission matrix over
     ``alphabet`` (blank is the last class)."""
-    labels = tuple(str(s) for s in pinyin)
+    labels = tuple(pinyin)
     alphabet = tuple(alphabet)
     index = {label: i for i, label in enumerate(alphabet)}
     if len(index) != len(alphabet):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .ngram_lm import BOS, EOS, NGramModel
-from .pinyin import PronunciationLexicon, Syllable
+from .pinyin import PronunciationLexicon, strip_tone
 
 import math
 
@@ -67,7 +67,7 @@ class TranscriptionResult:
 
 # Named "lenient" until bench/trace_child.py, which wraps it by this name, follows a rename.
 def build_lattice_lenient(
-    pinyin: Sequence[Syllable | str],
+    pinyin: Sequence[str],
     lexicon: PronunciationLexicon,
     tonal: bool = True,
 ) -> HomophoneLattice:
@@ -78,7 +78,7 @@ def build_lattice_lenient(
     lexicon's most frequent character with a flat penalty. Length is always
     preserved; only an empty lexicon, with nothing to fall back to, raises
     NoCandidate."""
-    units = tuple(str(s) for s in pinyin)
+    units = tuple(pinyin)
     fallback_char: str | None = None
     positions, fallbacks = [], []
     for index, unit in enumerate(units):
@@ -86,7 +86,7 @@ def build_lattice_lenient(
         if not matches:
             fallbacks.append(index)
             if tonal and unit[-1:].isdigit():
-                matches = lexicon.homophones(unit[:-1], tonal=False)
+                matches = lexicon.homophones(strip_tone(unit), tonal=False)
         if matches:
             positions.append(tuple((char, math.log10(p)) for char, p in matches))
             continue

@@ -22,7 +22,7 @@ from pinasr.ctc import (
 )
 from pinasr.corpus import EmptyCorpus
 from pinasr.ngram_lm import BOS, BOS_LOG10, EOS, UNK, NGramModel, OutOfVocabulary
-from pinasr.pinyin import InvalidSyllable, split_segment
+from pinasr.pinyin import InvalidSyllable, split_unit
 from pinasr.simulate import _BLANK_LEAK, _CONFUSION_LEAK, _JITTER, confusion_map
 from pinasr.transcriber import TranscriptionResult
 
@@ -48,7 +48,7 @@ def naive_mapping_recount(pairs, n, tonal):
     n-gram) occurrence, then aggregate per key with list scans."""
     occurrences = []
     for hanzi, pinyin in pairs:
-        units = [str(s) if tonal else s.segment for s in pinyin]
+        units = [unit if tonal else "".join(split_unit(unit)[:2]) for unit in pinyin]
         for i in range(0, len(hanzi) - n + 1):
             occurrences.append((" ".join(units[i:i + n]), hanzi[i:i + n]))
     keys = sorted({key for key, _ in occurrences})
@@ -68,10 +68,7 @@ def naive_mapping_recount(pairs, n, tonal):
 def all_pairs_confusion_map(alphabet, policy):
     """Confusable units by comparing every pair of labels: unit label ->
     ascending alphabet indexes of the units it may be confused with."""
-    parts = {}
-    for label in alphabet:
-        tone = label[-1] if label[-1].isdigit() else ""
-        parts[label] = (*split_segment(label[:-1] if tone else label), tone)
+    parts = {label: split_unit(label) for label in alphabet}
 
     out = {}
     for label in alphabet:
@@ -427,7 +424,7 @@ def scalar_draw_synth_emissions(pinyin, alphabet, config):
     neighbour, blank and release leak, in that order. Same contract and
     output as ``pinasr.simulate.synth_emissions``, which must match it
     exactly."""
-    labels = tuple(str(s) for s in pinyin)
+    labels = tuple(pinyin)
     alphabet = tuple(alphabet)
     index = {label: i for i, label in enumerate(alphabet)}
     if len(index) != len(alphabet):
@@ -521,7 +518,7 @@ def perplexity(model: NGramModel, corpus) -> float:
 def write_parallel_tsv(corpus, sink) -> None:
     """Write ``hanzi<TAB>space-joined-pinyin`` lines."""
     for hanzi, pinyin in corpus.pairs:
-        sink.write(hanzi + "\t" + " ".join(str(s) for s in pinyin) + "\n")
+        sink.write(hanzi + "\t" + " ".join(pinyin) + "\n")
 
 
 def garbled_text(lines: list[str]):

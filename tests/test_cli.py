@@ -206,7 +206,7 @@ def test_malformed_lm_error_names_its_file(tmp_path, small_corpus, capsys, bad):
         assert run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(paths[bad])) == (1, "", want)
 
 
-def test_emission_file_error_names_its_file(tmp_path, capsys):
+def test_emission_file_error_names_its_file(tmp_path, small_corpus, capsys):
     em_dir = tmp_path / "em"
     em_dir.mkdir()
     (em_dir / "utt_0000.em").write_text("1 1 1\na\n0:0.0\n", encoding="utf-8")
@@ -214,6 +214,16 @@ def test_emission_file_error_names_its_file(tmp_path, capsys):
     code, out, err = run(capsys, "decode", "--emissions", str(em_dir))
     assert code == 1 and out.startswith("utt_0000\ta\t")
     assert err == f"error: {em_dir / 'utt_0001.em'}: line 1: header declares 2 frames, file has 1 rows\n"
+    # pipeline --emissions-dir blames the ingest stage and names the file too.
+    synth_dir = tmp_path / "synth"
+    assert run(capsys, "synth", "--eval-corpus", str(small_corpus), "--out-dir", str(synth_dir))[0] == 0
+    bad = synth_dir / "utt_0000.em"
+    lines = bad.read_text(encoding="utf-8").splitlines()
+    bad.write_text("\n".join([*lines[:2], "0:zz", *lines[3:]]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "pipeline", "--emissions-dir", str(synth_dir), "--eval-corpus", str(small_corpus),
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err == f"error: stage=ingest utt=0: {bad}: line 3: malformed entry '0:zz', expected class:log10prob\n"
 
 
 def test_stats_command_default_corpus(capsys):
@@ -257,11 +267,18 @@ def test_validate_assets_command(capsys):
         ("train-lm", "--char-lm-order", "0"),
         ("train-lm", "--lm-discount", "1.5"),
         ("decode", "--lm-discount", "0"),
+        ("pipeline", "--beam-width", "0"),
+        ("pipeline", "--lm-weight", "-1"),
+        ("pipeline", "--transcriber-beam", "0"),
+        ("pipeline", "--frames-per-unit", "1"),
+        ("pipeline", "--blank-fill", "0"),
+        ("pipeline", "--min-len", "0"),
     ],
     ids=["synth-unit-mode", "synth-confusion-policy", "pipeline-unit-mode", "transcribe-unit-mode",
          "stats-unit-mode", "score-confusion-policy", "decode-unit-mode", "score-plain-confusion-policy",
          "train-lm-unit-mode", "pipeline-char-lm-order", "pipeline-lm-discount", "train-lm-char-lm-order",
-         "train-lm-lm-discount", "decode-lm-discount"],
+         "train-lm-lm-discount", "decode-lm-discount", "pipeline-beam-width", "pipeline-lm-weight",
+         "pipeline-transcriber-beam", "pipeline-frames-per-unit", "pipeline-blank-fill", "pipeline-min-len"],
 )
 def test_bad_unit_mode_or_confusion_policy_exits_2_and_writes_nothing(tmp_path, small_corpus, capsys, argv):
     extra = {

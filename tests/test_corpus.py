@@ -67,7 +67,7 @@ def test_build_parallel_fixture(lexicon):
     assert len(corpus) == 1
     hanzi, pinyin = corpus.pairs[0]
     assert hanzi == "中国"
-    assert [str(s) for s in pinyin] == ["zhong1", "guo2"]
+    assert pinyin == ("zhong1", "guo2")
 
 
 def test_build_parallel_empty(lexicon):

@@ -1,7 +1,6 @@
 import io
 import math
 import re
-import traceback
 
 import numpy as np
 import pytest
@@ -384,10 +383,8 @@ def test_emission_file_garbage_raises_only_value_errors(text):
     try:
         read_emissions(io.StringIO(text))
     except ValueError as exc:
-        # EmissionMatrix's own checks name the row or label instead.
-        if traceback.extract_tb(exc.__traceback__)[-1].name != "__post_init__":
-            lineno = re.match(r"line (\d+): ", str(exc))
-            assert lineno and 1 <= int(lineno[1]) <= len(text.splitlines()) + 1, exc
+        lineno = re.match(r"line (\d+): ", str(exc))
+        assert lineno and 1 <= int(lineno[1]) <= len(text.splitlines()) + 1, exc
 
 
 @pytest.mark.parametrize("text, message", [
@@ -400,6 +397,17 @@ def test_emission_file_garbage_raises_only_value_errors(text):
 ], ids=["empty", "no-labels", "no-rows", "short", "zero-frames", "negative-frames"])
 def test_read_emissions_names_the_header_line_for_missing_parts(text, message):
     with pytest.raises(ValueError, match=f"^{message}"):
+        read_emissions(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 1 5\na\n0:0.0\n", "line 1: blank_index 5 out of range [0, 1]"),
+    ("1 0 0\n\n0:0.0\n", "line 1: header declares 0 units, need at least 1"),
+    ("1 2 2\na a\n0:0.0\n", "line 2: duplicate unit label 'a'"),
+    ("2 1 1\na\n1:0.0\n0:-1.0\n", "line 4: row 1 sums to 0.10000000, not 1"),
+], ids=["blank-index", "no-units", "duplicate-label", "row-sum"])
+def test_read_emissions_names_the_line_of_matrix_checks(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_emissions(io.StringIO(text))
 
 

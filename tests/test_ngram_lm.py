@@ -167,12 +167,12 @@ def test_perplexity_improves_as_data_doubles():
     lexicon = assets.default_lexicon()
     vocabulary = sorted(assets.default_inventory().tonal_units)
     heldout = build_parallel(assets.read_sentences("corpus_heldout.txt"), lexicon, "h")
-    heldout_tokens = [[str(s) for s in py] for _, py in heldout.pairs]
+    heldout_tokens = [list(py) for _, py in heldout.pairs]
     sentences = assets.read_sentences("corpus_train.txt")
     perplexities = []
     for size in (25, 50, 100, 200):
         pairs = build_parallel(sentences[:size], lexicon, "t")
-        corpus = [[str(s) for s in py] for _, py in pairs.pairs]
+        corpus = [list(py) for _, py in pairs.pairs]
         model = train(corpus, order=3, discount=0.6, vocabulary=vocabulary)
         perplexities.append(perplexity(model, heldout_tokens))
     assert all(b <= a + 1e-9 for a, b in zip(perplexities, perplexities[1:])), perplexities

@@ -6,12 +6,11 @@ from pinasr.pinyin import (
     InvalidSyllable,
     InvalidTone,
     PronunciationLexicon,
-    Syllable,
     SyllableInventory,
     UnknownCharacter,
     hanzi_to_pinyin,
     parse_syllable,
-    split_segment,
+    split_unit,
     strip_tone,
 )
 from reference_impls import parse_toneless
@@ -28,14 +27,13 @@ def lexicon():
 
 
 def test_parse_zhong1(inventory):
-    s = parse_syllable("zhong1", inventory)
-    assert (s.initial, s.final, s.tone) == ("zh", "ong", 1)
-    assert str(s) == "zhong1"
+    assert parse_syllable("zhong1", inventory) == "zhong1"
+    assert split_unit("zhong1") == ("zh", "ong", "1")
 
 
 def test_parse_zero_onset(inventory):
-    s = parse_syllable("e4", inventory)
-    assert (s.initial, s.final, s.tone) == ("", "e", 4)
+    assert parse_syllable("e4", inventory) == "e4"
+    assert split_unit("e4") == ("", "e", "4")
 
 
 def test_parse_rejects_nonsense(inventory):
@@ -55,7 +53,7 @@ def test_parse_rejects_bad_tone(inventory):
 
 
 def test_parse_is_case_insensitive(inventory):
-    assert parse_syllable("ZHONG1", inventory) == parse_syllable("zhong1", inventory)
+    assert parse_syllable("ZHONG1", inventory) == "zhong1"
 
 
 def test_parse_toneless(inventory):
@@ -77,31 +75,32 @@ def test_strip_preserves_length(inventory, lexicon):
 
 
 def test_round_trip_whole_inventory(inventory):
-    # Exhaustive: canonical rendering must parse back to the same syllable.
+    # Exhaustive: every unit parses to itself, and its parts join back to it.
     for unit in inventory.tonal_units:
-        s = parse_syllable(unit, inventory)
-        assert str(s) == unit
-        assert parse_syllable(str(s), inventory) == s
+        assert parse_syllable(unit, inventory) == unit
+    for unit in inventory.tonal_units | inventory.toneless_units:
+        assert "".join(split_unit(unit)) == unit
 
 
 def test_strip_is_surjective_onto_toneless(inventory):
-    stripped = {u[:-1] for u in inventory.tonal_units}
+    stripped = set(map(strip_tone, inventory.tonal_units))
     assert stripped == set(inventory.toneless_units)
 
 
-def test_split_segment_prefers_long_onsets():
-    assert split_segment("zhong") == ("zh", "ong")
-    assert split_segment("zong") == ("z", "ong")
-    assert split_segment("ai") == ("", "ai")
+def test_split_unit_prefers_long_onsets():
+    assert split_unit("zhong") == ("zh", "ong", "")
+    assert split_unit("zong") == ("z", "ong", "")
+    assert split_unit("ai") == ("", "ai", "")
+    assert split_unit("zhong4") == ("zh", "ong", "4")
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz12345", min_size=1, max_size=8))
 def test_parser_never_crashes_on_ascii(inventory, text):
     try:
-        s = parse_syllable(text, inventory)
+        unit = parse_syllable(text, inventory)
     except (InvalidSyllable, InvalidTone):
         return
-    assert str(s) == text.lower()
+    assert unit == text.lower()
 
 
 def test_inventory_from_units_rejects_malformed():
@@ -112,7 +111,7 @@ def test_inventory_from_units_rejects_malformed():
 
 
 def test_hanzi_to_pinyin_fixture(lexicon):
-    assert [str(s) for s in hanzi_to_pinyin("中国", lexicon)] == ["zhong1", "guo2"]
+    assert hanzi_to_pinyin("中国", lexicon) == ["zhong1", "guo2"]
     assert hanzi_to_pinyin("", lexicon) == []
 
 
@@ -131,8 +130,8 @@ def test_hanzi_to_pinyin_length(lexicon):
 def test_heteronym_takes_highest_weight(lexicon):
     # 中 carries both zhong1 and zhong4; zhong1 is the dominant reading.
     readings = lexicon.readings("中")
-    assert str(readings[0][0]) == "zhong1"
-    assert [str(hanzi_to_pinyin("中", lexicon)[0])] == ["zhong1"]
+    assert readings[0][0] == "zhong1"
+    assert hanzi_to_pinyin("中", lexicon) == ["zhong1"]
 
 
 def test_lexicon_readings_sorted_descending(lexicon):
@@ -150,7 +149,7 @@ def test_heteronym_tie_breaks_by_unit_string(inventory):
     lex = PronunciationLexicon(
         {"同": [(parse_syllable("tong2", inventory), 5.0), (parse_syllable("dong1", inventory), 5.0)]}
     )
-    assert str(lex.readings("同")[0][0]) == "dong1"  # equal weight, lexicographic order
+    assert lex.readings("同")[0][0] == "dong1"  # equal weight, lexicographic order
 
 
 def test_homophones_normalized_per_character(lexicon):
