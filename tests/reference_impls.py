@@ -149,25 +149,20 @@ def reference_score(model: NGramModel, context, token: str) -> float:
         ctx = ctx[1:]
 
 
-def lattice_path_score(lattice, model, channel_weight, chars):
-    """Score of the lattice path that reads ``chars`` (one per position),
-    with begin/end markers, summed left to right as the decoder sums it."""
-    score = 0.0
-    ctx = ("<s>",) if model.order > 1 else ()
-    for char, candidates in zip(chars, lattice.positions, strict=True):
-        score += reference_score(model, ctx, char) + channel_weight * dict(candidates)[char]
-        if model.order > 1:
-            ctx = (ctx + (char,))[-(model.order - 1):]
-    return score + reference_score(model, ctx, "</s>")
-
-
 def enumerate_lattice_best(lattice, model, channel_weight):
     """Exhaustive path enumeration over a homophone lattice, scored with
     begin/end markers exactly as the decoder defines the objective."""
     best_score, best_chars = None, None
     for combo in product(*[range(len(p)) for p in lattice.positions]):
         chars = tuple(lattice.positions[i][j][0] for i, j in enumerate(combo))
-        score = lattice_path_score(lattice, model, channel_weight, chars)
+        score = 0.0
+        ctx = ("<s>",) if model.order > 1 else ()
+        for i, j in enumerate(combo):
+            char, weight = lattice.positions[i][j]
+            score += reference_score(model, ctx, char) + channel_weight * weight
+            if model.order > 1:
+                ctx = (ctx + (char,))[-(model.order - 1):]
+        score += reference_score(model, ctx, "</s>")
         if best_score is None or score > best_score or (score == best_score and chars < best_chars):
             best_score, best_chars = score, chars
     return best_chars, best_score
