@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import ambiguity, assets, metrics, ngram_lm, transcriber
-from .corpus import EmptyCorpus, build_parallel, filter_sentences, read_parallel_tsv
+from .corpus import EmptyCorpus, build_parallel, check_length_bounds, filter_sentences, read_parallel_tsv
 from .ctc import DecoderConfig, EmissionMatrix, prefix_beam_search, read_emissions, write_emissions
 from .ngram_lm import NGramModel
 from .pinyin import PronunciationLexicon, SyllableInventory, strip_tone
@@ -157,9 +157,9 @@ def sim_config(config: PipelineConfig, index: int = 0) -> SimConfig:
 def check_config(config: PipelineConfig) -> None:
     """Raise ConfigError for a ``unit_mode`` outside its choices, an LM order
     outside [1, MAX_ORDER], an ``lm_discount`` outside (0, 1), a
-    ``transcriber_beam`` below 1, a ``min_len`` outside [1, ``max_len``] or a
-    setting that DecoderConfig or SimConfig rejects (``confusion_policy``
-    among them); every command runs this before it loads or writes anything."""
+    ``transcriber_beam`` below 1, or a setting that DecoderConfig, SimConfig
+    (``confusion_policy`` among them) or ``check_length_bounds`` (``min_len``,
+    ``max_len``) rejects; every command runs this before it loads or writes anything."""
     if config.unit_mode not in ("tonal", "toneless"):
         raise ConfigError(f"unit_mode must be tonal or toneless, got {config.unit_mode!r}")
     for key in ("pinyin_lm_order", "char_lm_order"):
@@ -169,11 +169,10 @@ def check_config(config: PipelineConfig) -> None:
         raise ConfigError(f"lm_discount must be in (0, 1), got {config.lm_discount}")
     if config.transcriber_beam < 1:
         raise ConfigError(f"transcriber_beam must be >= 1, got {config.transcriber_beam}")
-    if not 1 <= config.min_len <= config.max_len:
-        raise ConfigError(f"min_len must be in [1, max_len], got {config.min_len} with max_len {config.max_len}")
     try:
         decoder_config(config)
         sim_config(config)
+        check_length_bounds(config.min_len, config.max_len)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

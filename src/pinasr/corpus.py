@@ -38,6 +38,14 @@ class FilterResult:
     duplicates: int = 0
 
 
+def check_length_bounds(min_len: int, max_len: int) -> None:
+    """Raise ValueError unless 1 <= min_len <= max_len."""
+    if min_len < 1:
+        raise ValueError(f"min_len must be >= 1, got {min_len}")
+    if max_len < min_len:
+        raise ValueError(f"max_len {max_len} < min_len {min_len}")
+
+
 def filter_sentences(
     lines: Iterable[str],
     min_len: int,
@@ -50,10 +58,7 @@ def filter_sentences(
     exact repeats are dropped; lines that normalize to nothing count as
     malformed. Input order is preserved.
     """
-    if min_len < 1:
-        raise ValueError(f"min_len must be >= 1, got {min_len}")
-    if max_len < min_len:
-        raise ValueError(f"max_len {max_len} < min_len {min_len}")
+    check_length_bounds(min_len, max_len)
     excluded_set = {normalize_hanzi(s) for s in exclusion}
     result = FilterResult(sentences=[])
     seen: set[str] = set()

@@ -38,12 +38,13 @@ class VocabularyMismatch(ValueError):
     """The fusion LM does not cover the emission unit alphabet."""
 
 
-class NotNormalized(ValueError):
-    """An emission row's probabilities do not sum to 1."""
+class InvalidEmissions(ValueError):
+    """An emission matrix fails a check. ``line`` is where the fault sits in
+    the ``.em`` text form: 1 the header, 2 the label line, 3+t frame t."""
 
-    def __init__(self, row: int, total: float):
-        super().__init__(f"row {row} sums to {total:.8f}, not 1")
-        self.row = row
+    def __init__(self, message: str, line: int):
+        super().__init__(message)
+        self.line = line
 
 
 def log10addexp(a: float, b: float) -> float:
@@ -76,18 +77,18 @@ class EmissionMatrix:
         object.__setattr__(self, "log_probs", lp)
         object.__setattr__(self, "unit_labels", tuple(self.unit_labels))
         if lp.ndim != 2 or lp.shape[0] < 1:
-            raise ValueError(f"need a T x (V+1) matrix with T >= 1, got shape {lp.shape}")
+            raise InvalidEmissions(f"need a T x (V+1) matrix with T >= 1, got shape {lp.shape}", 1)
         num_units = len(self.unit_labels)
         if num_units < 1:
-            raise ValueError("need at least one unit label")
+            raise InvalidEmissions("need at least one unit label", 1)
         if lp.shape[1] != num_units + 1:
-            raise ValueError(f"{num_units} unit labels require {num_units + 1} columns, got {lp.shape[1]}")
+            raise InvalidEmissions(f"{num_units} unit labels require {num_units + 1} columns, got {lp.shape[1]}", 1)
         if not 0 <= self.blank_index <= num_units:
-            raise ValueError(f"blank_index {self.blank_index} out of range")
+            raise InvalidEmissions(f"blank_index {self.blank_index} out of range [0, {num_units}]", 1)
         if len(set(self.unit_labels)) != num_units:
             labels = self.unit_labels
             duplicate = next(u for i, u in enumerate(labels) if u in labels[:i])
-            raise ValueError(f"duplicate unit label {duplicate!r}")
+            raise InvalidEmissions(f"duplicate unit label {duplicate!r}", 2)
         # One pass screens for NaN and +inf: either makes the total NaN or +inf.
         with np.errstate(invalid="ignore"):
             total = lp.sum()
@@ -95,13 +96,13 @@ class EmissionMatrix:
             bad = np.argwhere(np.isnan(lp) | (lp == np.inf))
             if bad.size:
                 t, c = bad[0]
-                raise ValueError(f"frame {t} class {c} is {lp[t, c]}, not a finite log10 probability or -inf")
+                raise InvalidEmissions(f"frame {t} class {c} is {lp[t, c]}, not a finite log10 probability or -inf", 3 + t)
         # Only finite entries carry mass; 10**-inf would add nothing but time.
         rows, cols = np.nonzero(lp > NEG_INF)
         row_sums = np.bincount(rows, weights=np.power(10.0, lp[rows, cols]), minlength=lp.shape[0])
         bad = np.nonzero(np.abs(row_sums - 1.0) > 1e-5)[0]
         if bad.size:
-            raise NotNormalized(int(bad[0]), row_sums[bad[0]])
+            raise InvalidEmissions(f"row {bad[0]} sums to {row_sums[bad[0]]:.8f}, not 1", 3 + int(bad[0]))
 
     @property
     def num_frames(self) -> int:
@@ -285,16 +286,9 @@ def read_emissions(source) -> EmissionMatrix:
         raise ValueError(f"line 1: bad header {lines[0]!r}, expected integers 'T V blank_index'") from None
     if T < 1:
         raise ValueError(f"line 1: header declares {T} frames, need at least 1")
-    if V < 1:
-        raise ValueError(f"line 1: header declares {V} units, need at least 1")
-    if not 0 <= blank_index <= V:
-        raise ValueError(f"line 1: blank_index {blank_index} out of range [0, {V}]")
     unit_labels = tuple(lines[1].split())
     if len(unit_labels) != V:
         raise ValueError(f"line 2: header declares {V} units, label line has {len(unit_labels)}")
-    if len(set(unit_labels)) != V:
-        duplicate = next(u for i, u in enumerate(unit_labels) if u in unit_labels[:i])
-        raise ValueError(f"line 2: duplicate unit label {duplicate!r}")
     if len(lines) < 2 + T:
         raise ValueError(f"line 1: header declares {T} frames, file has {len(lines) - 2} rows")
     if len(lines) > 2 + T:
@@ -320,5 +314,5 @@ def read_emissions(source) -> EmissionMatrix:
             previous = c
     try:
         return EmissionMatrix(log_probs=log_probs, unit_labels=unit_labels, blank_index=blank_index)
-    except NotNormalized as exc:
-        raise ValueError(f"line {3 + exc.row}: {exc}") from None
+    except InvalidEmissions as exc:
+        raise ValueError(f"line {exc.line}: {exc}") from None

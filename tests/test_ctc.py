@@ -402,7 +402,7 @@ def test_read_emissions_names_the_header_line_for_missing_parts(text, message):
 
 @pytest.mark.parametrize("text, message", [
     ("1 1 5\na\n0:0.0\n", "line 1: blank_index 5 out of range [0, 1]"),
-    ("1 0 0\n\n0:0.0\n", "line 1: header declares 0 units, need at least 1"),
+    ("1 0 0\n\n0:0.0\n", "line 1: need at least one unit label"),
     ("1 2 2\na a\n0:0.0\n", "line 2: duplicate unit label 'a'"),
     ("2 1 1\na\n1:0.0\n0:-1.0\n", "line 4: row 1 sums to 0.10000000, not 1"),
 ], ids=["blank-index", "no-units", "duplicate-label", "row-sum"])
