@@ -3,9 +3,9 @@
 The manifest (``path<TAB>sha256<TAB>count``) pins each data file's content
 hash and record count. ``validate_assets`` re-derives both and additionally
 checks the structural closure properties the rest of the toolkit relies on:
-tone stripping maps the tonal inventory onto the toneless one, every
-lexicon reading is inventory-valid, and the toy corpora are fully covered
-by the lexicon.
+every segment of the inventory carries tones 1-4 and every tone-5 unit is
+read by some lexicon entry, every lexicon reading is inventory-valid, and
+the toy corpora are fully covered by the lexicon.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import build_parallel
-from .pinyin import PronunciationLexicon, SyllableInventory, strip_tone
+from .pinyin import PronunciationLexicon, SyllableInventory, split_unit
 
 # Full-scale Mandarin references, for context in reports (a desk-scale
 # bundle is intentionally smaller): ~4333 characters, 2020 tonal units,
@@ -127,15 +127,16 @@ def validate_assets(manifest_path: Path | None = None) -> ValidationReport:
         checks.append(Check("load", False, str(exc)))
         return ValidationReport(checks=tuple(checks))
 
-    stripped = set(map(strip_tone, inventory.tonal_units))
-    checks.append(
-        Check(
-            "tone-strip-surjective",
-            stripped == set(inventory.toneless_units),
-            f"{len(inventory.tonal_units)} tonal -> {len(inventory.toneless_units)} toneless"
-            f" (full-scale reference: {REFERENCE_COUNTS['tonal_units']}/{REFERENCE_COUNTS['toneless_units']})",
-        )
-    )
+    # syllables.txt holds every segment with tones 1-4, plus the tone-5 units the lexicon reads.
+    missing = sorted({seg + tone for seg in inventory.toneless_units for tone in "1234"} - inventory.tonal_units)
+    neutral = {unit for unit in inventory.tonal_units if split_unit(unit)[2] == "5"}
+    unread = sorted(neutral - lexicon.all_units())
+    complete = not missing and not unread
+    checks.append(Check(
+        "tones-complete", complete,
+        f"{len(inventory.toneless_units)} segments x tones 1-4 + {len(neutral)} read tone-5 units"
+        f" (full-scale reference: {REFERENCE_COUNTS['tonal_units']}/{REFERENCE_COUNTS['toneless_units']})"
+        if complete else f"tones 1-4 missing: {missing[:5]}; tone-5 units no lexicon entry reads: {unread[:5]}"))
 
     outside = sorted(lexicon.all_units() - inventory.tonal_units)
     checks.append(

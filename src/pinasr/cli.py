@@ -339,8 +339,6 @@ def cmd_synth(args, config: PipelineConfig) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for index, (_, units) in enumerate(utterances):
-        # Bound to a name, so the previous matrix is freed only after this one is
-        # built: freeing it first made synth about a quarter slower (pages re-faulted).
         emissions = pipe.synthesize(units, index)
         with atomic_open(out_dir / f"utt_{index:04d}.em") as fh:
             write_emissions(emissions, fh)

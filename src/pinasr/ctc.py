@@ -23,6 +23,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -40,10 +41,12 @@ class VocabularyMismatch(ValueError):
 
 class InvalidEmissions(ValueError):
     """An emission matrix fails a check. ``line`` is where the fault sits in
-    the ``.em`` text form: 1 the header, 2 the label line, 3+t frame t."""
+    the ``.em`` text form: 1 the header, 2 the label line, 3+t frame t;
+    ``detail`` is the message without the ``frame t`` an entry's fault starts with."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(message)
+    def __init__(self, detail: str, line: int, frame: int | None = None):
+        super().__init__(detail if frame is None else f"frame {frame} {detail}")
+        self.detail = detail
         self.line = line
 
 
@@ -60,76 +63,63 @@ def log10addexp(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class EmissionMatrix:
-    """T x (V+1) grid of per-frame log10 class posteriors.
+    """Per-frame log10 class posteriors over V+1 classes, kept sparse.
 
-    Column ``blank_index`` is the CTC blank; the remaining V columns map to
-    ``unit_labels`` in order (label j sits at column j when j < blank_index,
-    else at column j+1). Labels are unique, and every entry is finite or
-    -inf (probability zero).
+    ``frames[t]`` lists frame t's ``(class, log10 prob)`` pairs, Python ints
+    and floats, in strictly ascending class order; every class left out has
+    probability zero. Class ``blank_index`` is the CTC blank; the remaining V
+    classes map to ``unit_labels`` in order (label j is class j when
+    j < blank_index, else class j+1). Labels are unique, every listed value
+    is finite and each frame's probabilities sum to 1.
     """
 
-    log_probs: np.ndarray
+    frames: tuple[tuple[tuple[int, float], ...], ...]
     unit_labels: tuple[str, ...]
     blank_index: int
 
     def __post_init__(self):
-        lp = np.asarray(self.log_probs, dtype=np.float64)
-        object.__setattr__(self, "log_probs", lp)
+        object.__setattr__(self, "frames", tuple(map(tuple, self.frames)))
         object.__setattr__(self, "unit_labels", tuple(self.unit_labels))
-        if lp.ndim != 2 or lp.shape[0] < 1:
-            raise InvalidEmissions(f"need a T x (V+1) matrix with T >= 1, got shape {lp.shape}", 1)
+        if not self.frames:
+            raise InvalidEmissions("need at least one frame", 1)
         num_units = len(self.unit_labels)
         if num_units < 1:
             raise InvalidEmissions("need at least one unit label", 1)
-        if lp.shape[1] != num_units + 1:
-            raise InvalidEmissions(f"{num_units} unit labels require {num_units + 1} columns, got {lp.shape[1]}", 1)
         if not 0 <= self.blank_index <= num_units:
             raise InvalidEmissions(f"blank_index {self.blank_index} out of range [0, {num_units}]", 1)
         if len(set(self.unit_labels)) != num_units:
             labels = self.unit_labels
             duplicate = next(u for i, u in enumerate(labels) if u in labels[:i])
             raise InvalidEmissions(f"duplicate unit label {duplicate!r}", 2)
-        # One pass screens for NaN and +inf: either makes the total NaN or +inf.
-        with np.errstate(invalid="ignore"):
-            total = lp.sum()
-        if not total < np.inf:
-            bad = np.argwhere(np.isnan(lp) | (lp == np.inf))
-            if bad.size:
-                t, c = bad[0]
-                raise InvalidEmissions(f"frame {t} class {c} is {lp[t, c]}, not a finite log10 probability or -inf", 3 + t)
-        # Only finite entries carry mass; 10**-inf would add nothing but time.
-        rows, cols = np.nonzero(lp > NEG_INF)
-        row_sums = np.bincount(rows, weights=np.power(10.0, lp[rows, cols]), minlength=lp.shape[0])
-        bad = np.nonzero(np.abs(row_sums - 1.0) > 1e-5)[0]
-        if bad.size:
-            raise InvalidEmissions(f"row {bad[0]} sums to {row_sums[bad[0]]:.8f}, not 1", 3 + int(bad[0]))
+        for t, entries in enumerate(self.frames):
+            previous, mass = -1, 0.0
+            for c, value in entries:
+                if not previous < c <= num_units:
+                    problem = (f"out of range [0, {num_units}]" if not 0 <= c <= num_units
+                               else "repeated" if c == previous else "not in ascending order")
+                    raise InvalidEmissions(f"class {c} {problem}", 3 + t, t)
+                if not NEG_INF < value < math.inf:   # NaN fails both comparisons
+                    raise InvalidEmissions(f"class {c} value {value!r} is not finite", 3 + t, t)
+                mass += 10.0 ** value if value < 308 else math.inf   # 10.0 ** 309 overflows
+                previous = c
+            if abs(mass - 1.0) > 1e-5:
+                raise InvalidEmissions(f"row {t} sums to {mass:.8f}, not 1", 3 + t)
 
     @property
     def num_frames(self) -> int:
-        return self.log_probs.shape[0]
+        return len(self.frames)
 
     @property
     def num_units(self) -> int:
         return len(self.unit_labels)
 
-    def unit_of_class(self, class_index: int) -> int:
-        """Unit index for a non-blank class column."""
-        if class_index == self.blank_index:
-            raise ValueError("blank class has no unit")
-        return class_index if class_index < self.blank_index else class_index - 1
-
-
-def _entries_by_frame(
-    log_probs: np.ndarray, floor: float, relabel: np.ndarray | None = None
-) -> list[list[tuple[int, float]]]:
-    """Per frame, the ``(class, log10 prob)`` pairs strictly above ``floor``,
-    in ascending class order, as Python ints and floats. ``relabel`` maps
-    each class index to the int reported in its place."""
-    rows, cols = np.nonzero(log_probs > floor)
-    keys = (cols if relabel is None else relabel[cols]).tolist()
-    pairs = list(zip(keys, log_probs[rows, cols].tolist()))
-    bounds = np.searchsorted(rows, np.arange(log_probs.shape[0] + 1)).tolist()
-    return [pairs[start:end] for start, end in zip(bounds, bounds[1:])]
+    @property
+    def log_probs(self) -> np.ndarray:
+        """The dense T x (V+1) view, -inf where a class is not listed; built on each read."""
+        grid = np.full((self.num_frames, self.num_units + 1), NEG_INF)
+        for t, entries in enumerate(self.frames):
+            grid[t, [c for c, _ in entries]] = [value for _, value in entries]
+        return grid
 
 
 def collapse_alignment(frames: Sequence[int], blank: int) -> list[int]:
@@ -146,9 +136,10 @@ def collapse_alignment(frames: Sequence[int], blank: int) -> list[int]:
 
 def greedy_decode(emissions: EmissionMatrix) -> list[str]:
     """Per-frame argmax (ties go to the lower class index) then collapse."""
-    frames = np.argmax(emissions.log_probs, axis=1)
-    collapsed = collapse_alignment(frames.tolist(), emissions.blank_index)
-    return [emissions.unit_labels[emissions.unit_of_class(c)] for c in collapsed]
+    # max keeps the first of equal maxima, and entries ascend by class.
+    frames = [max(entries, key=itemgetter(1))[0] for entries in emissions.frames]
+    blank = emissions.blank_index
+    return [emissions.unit_labels[c if c < blank else c - 1] for c in collapse_alignment(frames, blank)]
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ class DecoderConfig:
 @functools.lru_cache(maxsize=8)
 def _alphabet_tables(unit_labels: tuple[str, ...], blank_index: int, lm: NGramModel | None):
     """The labels sorted, each class's unit number in that order (-1 for the
-    blank; read-only) and each unit number's LM word; VocabularyMismatch for a
+    blank) and each unit number's LM word; VocabularyMismatch for a
     unit the LM lacks. Prefixes of unit numbers then sort like their labels."""
     if lm is not None and (missing := [u for u in unit_labels if u not in lm.vocabulary]):
         raise VocabularyMismatch(f"units absent from LM vocabulary: {missing[:5]}")
@@ -180,8 +171,7 @@ def _alphabet_tables(unit_labels: tuple[str, ...], blank_index: int, lm: NGramMo
     labels = tuple(unit_labels[u] for u in by_label)
     unit_number = np.empty(len(unit_labels), dtype=np.int64)
     unit_number[by_label] = np.arange(len(unit_labels))
-    unit_of_class = np.insert(unit_number, blank_index, -1)
-    unit_of_class.flags.writeable = False
+    unit_of_class = tuple(np.insert(unit_number, blank_index, -1).tolist())
     return labels, unit_of_class, None if lm is None else tuple(map(lm.word, labels))
 
 
@@ -201,7 +191,7 @@ def prefix_beam_search(
     labels, unit_of_class, words = _alphabet_tables(emissions.unit_labels, emissions.blank_index, lm)
     alpha = config.lm_weight if lm is not None else 0.0
     beta = config.insertion_bonus
-    frames = _entries_by_frame(emissions.log_probs, config.prune_threshold, unit_of_class)
+    floor = config.prune_threshold
 
     # Beam entries: (-fused score, prefix, p_blank, p_nonblank, total mass),
     # best first; prefixes are tuples of unit numbers.
@@ -210,7 +200,8 @@ def prefix_beam_search(
     # when there is an LM.
     lm_cache: dict[tuple[int, ...], tuple[float, int]] = {(): (0.0, lm.state((BOS,)))} if lm is not None else {}
 
-    for active in frames:
+    for entries in emissions.frames:
+        active = [(unit_of_class[c], score) for c, score in entries if score > floor]
         # prefix -> [p_blank, p_nonblank]; a new entry takes its first mass
         # as is, since log10addexp(-inf, x) is x.
         next_beam: dict[tuple[int, ...], list[float]] = {}
@@ -256,27 +247,30 @@ def prefix_beam_search(
     return [(tuple(labels[u] for u in prefix), -key) for key, prefix, *_ in beam]
 
 
-def write_emissions(emissions: EmissionMatrix, sink) -> None:
-    """Text form: ``T V blank_index`` header, the unit-label line, then one
-    row per frame listing its finite entries as space-separated
-    ``class:log10prob`` pairs in ascending class order. Every entry left
-    out is -inf."""
-    for label in emissions.unit_labels:
+@functools.lru_cache(maxsize=8)
+def _check_labels(unit_labels: tuple[str, ...]) -> None:
+    """ValueError unless every label is one word; lru_cache keeps no exception."""
+    for label in unit_labels:
         if label.split() != [label]:
             raise ValueError(f"unit label {label!r} is empty or contains whitespace")
+
+
+def write_emissions(emissions: EmissionMatrix, sink) -> None:
+    """Text form: ``T V blank_index`` header, the unit-label line, then one
+    row per frame listing its entries as space-separated ``class:log10prob``
+    pairs in ascending class order. Every entry left out is -inf."""
+    _check_labels(emissions.unit_labels)
     sink.write(f"{emissions.num_frames} {emissions.num_units} {emissions.blank_index}\n")
     sink.write(" ".join(emissions.unit_labels) + "\n")
-    for entries in _entries_by_frame(emissions.log_probs, NEG_INF):
+    for entries in emissions.frames:
         sink.write(" ".join(f"{c}:{v!r}" for c, v in entries) + "\n")
 
 
 def read_emissions(source) -> EmissionMatrix:
     """Parse the text form written by ``write_emissions`` from the file
     object ``source``. Raises ValueError naming the line for a bad header or
-    label line, a blank index out of range, a repeated label, too few or too
-    many rows, an entry that is not ``class:value`` (a dense row from an
-    earlier version included), a class out of range, repeated or out of
-    order, a value that is not finite, or a row that does not sum to 1."""
+    label line, too few or too many rows, an entry that is not ``class:value``
+    (a dense row from an earlier version included) or a failed matrix check."""
     lines = source.read().splitlines()
     if len(lines) < 2:
         raise ValueError(f"line {len(lines) + 1}: emission file needs a header line and a label line")
@@ -293,26 +287,17 @@ def read_emissions(source) -> EmissionMatrix:
         raise ValueError(f"line 1: header declares {T} frames, file has {len(lines) - 2} rows")
     if len(lines) > 2 + T:
         raise ValueError(f"line {3 + T}: row past the {T} frames the header declares")
-    log_probs = np.full((T, V + 1), NEG_INF)
-    for t in range(T):
-        line_no = 3 + t
-        previous = -1
-        for entry in lines[2 + t].split():
+    frames = []
+    for line_no, row in enumerate(lines[2:], 3):
+        entries = []
+        for entry in row.split():
             class_text, _, value_text = entry.partition(":")
             try:  # without a colon, value_text is "" and float() fails
-                c, value = int(class_text), float(value_text)
+                entries.append((int(class_text), float(value_text)))
             except ValueError:
                 raise ValueError(f"line {line_no}: malformed entry {entry!r}, expected class:log10prob") from None
-            if not 0 <= c <= V:
-                raise ValueError(f"line {line_no}: class {c} out of range [0, {V}]")
-            if c <= previous:
-                problem = "repeated" if c == previous else "not in ascending order"
-                raise ValueError(f"line {line_no}: class {c} {problem}")
-            if not math.isfinite(value):
-                raise ValueError(f"line {line_no}: class {c} value {value_text!r} is not finite")
-            log_probs[t, c] = value
-            previous = c
+        frames.append(entries)
     try:
-        return EmissionMatrix(log_probs=log_probs, unit_labels=unit_labels, blank_index=blank_index)
+        return EmissionMatrix(frames, unit_labels, blank_index)
     except InvalidEmissions as exc:
-        raise ValueError(f"line {exc.line}: {exc}") from None
+        raise ValueError(f"line {exc.line}: {exc.detail}") from None

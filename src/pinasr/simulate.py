@@ -13,13 +13,14 @@ confusable classes:
 
 Randomness is confined to per-frame leak jitter drawn from numpy's seeded
 PCG64 generator, so a (sequence, config, alphabet) triple always produces
-the identical matrix.
+the identical emissions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -78,18 +79,25 @@ def confusion_map(alphabet: tuple[str, ...], policy: str) -> dict[str, tuple[int
     return out
 
 
+@lru_cache(maxsize=8)
+def _alphabet_index(alphabet: tuple[str, ...]) -> dict[str, int]:
+    """Label -> class index, shared by every call (read only); ValueError for a repeated label."""
+    index = {label: i for i, label in enumerate(alphabet)}
+    if len(index) != len(alphabet):
+        raise ValueError("alphabet contains duplicate labels")
+    return index
+
+
 def synth_emissions(
     pinyin: Sequence[str],
     alphabet: Sequence[str],
     config: SimConfig,
 ) -> EmissionMatrix:
-    """Render a unit sequence as a T x (V+1) emission matrix over
+    """Render a unit sequence as emissions over the V+1 classes of
     ``alphabet`` (blank is the last class)."""
     labels = tuple(pinyin)
     alphabet = tuple(alphabet)
-    index = {label: i for i, label in enumerate(alphabet)}
-    if len(index) != len(alphabet):
-        raise ValueError("alphabet contains duplicate labels")
+    index = _alphabet_index(alphabet)
     for label in labels:
         if label not in index:
             raise InvalidSyllable(f"unit {label!r} not in the emission alphabet")
@@ -100,45 +108,50 @@ def synth_emissions(
     rng = np.random.default_rng(config.seed)
     neighbors = confusion_map(alphabet, config.confusion_policy) if tau > 0 else {}
 
-    rows: list[np.ndarray] = []
-
-    def unit_frame(unit_index: int, label: str) -> None:
-        weights = np.zeros(V + 1)
-        weights[unit_index] = 1.0
-        if tau > 0:
-            confusable = neighbors[label]
-            # One call draws every jitter of the frame: each neighbour's in
-            # ascending order, then the blank's. Vector draws take the same
-            # stream as one scalar draw each.
-            draws = rng.uniform(*_JITTER, size=len(confusable) + 1)
-            if confusable:
-                share = tau * _CONFUSION_LEAK / len(confusable)
-                weights[list(confusable)] = share * draws[:-1]
-            weights[blank] = tau * _BLANK_LEAK * draws[-1]
-        rows.append(weights / weights.sum())
-
-    def release_frame(prev_index: int, next_index: int | None) -> None:
-        weights = np.zeros(V + 1)
+    # Frame t's unnormalized weights fill grid row t, and live[t] lists the
+    # classes it sets, ascending. Only the denominators read the whole grid:
+    # sum(axis=1) adds each row in the same order as the row's own sum().
+    grid = np.zeros((max(1, len(labels) * (config.frames_per_unit + 1)), V + 1))
+    live: list[list[int]] = []
+    if not labels:
+        grid[0, blank] = 1.0
+        live.append([blank])
+    for pos, label in enumerate(labels):
+        unit_index = index[label]
+        confusable = neighbors.get(label, ())
+        unit_classes = sorted((unit_index, *confusable)) + [blank] if tau > 0 else [unit_index]
+        for _ in range(config.frames_per_unit):
+            weights = grid[len(live)]
+            live.append(unit_classes)
+            weights[unit_index] = 1.0
+            if tau > 0:
+                # One call draws every jitter of the frame: each neighbour's
+                # in ascending order, then the blank's. Vector draws take the
+                # same stream as one scalar draw each.
+                draws = rng.uniform(*_JITTER, size=len(confusable) + 1)
+                if confusable:
+                    share = tau * _CONFUSION_LEAK / len(confusable)
+                    weights[list(confusable)] = share * draws[:-1]
+                weights[blank] = tau * _BLANK_LEAK * draws[-1]
+        # The release frame: blank-dominant, leaking onto both neighbours.
+        next_index = index[labels[pos + 1]] if pos + 1 < len(labels) else None
+        weights = grid[len(live)]
+        live.append(sorted({unit_index, next_index, blank} - {None}) if tau > 0 else [blank])
         weights[blank] = config.blank_fill
         if tau > 0:
             leak = tau * (1.0 - config.blank_fill) * 0.5
             draws = rng.uniform(*_JITTER, size=1 if next_index is None else 2)
-            weights[prev_index] += leak * draws[0]
+            weights[unit_index] += leak * draws[0]
             if next_index is not None:
                 weights[next_index] += leak * draws[1]
-        rows.append(weights / weights.sum())
 
-    if not labels:
-        weights = np.zeros(V + 1)
-        weights[blank] = 1.0
-        rows.append(weights)
-    for pos, label in enumerate(labels):
-        unit_index = index[label]
-        for _ in range(config.frames_per_unit):
-            unit_frame(unit_index, label)
-        next_index = index[labels[pos + 1]] if pos + 1 < len(labels) else None
-        release_frame(unit_index, next_index)
-
-    with np.errstate(divide="ignore"):
-        log_probs = np.log10(np.vstack(rows))
-    return EmissionMatrix(log_probs=log_probs, unit_labels=alphabet, blank_index=blank)
+    rows = np.repeat(np.arange(len(live)), [len(classes) for classes in live])
+    cols = np.fromiter(chain.from_iterable(live), dtype=np.intp, count=len(rows))
+    weights = grid[rows, cols]
+    listed = weights > 0   # a zero leak (blank_fill 1) has probability zero
+    rows, cols = rows[listed], cols[listed]
+    log_probs = np.log10(weights[listed] / grid.sum(axis=1)[rows])
+    pairs = list(zip(cols.tolist(), log_probs.tolist()))
+    bounds = np.searchsorted(rows, np.arange(len(live) + 1)).tolist()
+    frames = [pairs[start:end] for start, end in zip(bounds, bounds[1:])]
+    return EmissionMatrix(frames, unit_labels=alphabet, blank_index=blank)

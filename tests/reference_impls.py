@@ -27,6 +27,19 @@ from pinasr.simulate import _BLANK_LEAK, _CONFUSION_LEAK, _JITTER, confusion_map
 from pinasr.transcriber import TranscriptionResult
 
 
+def dense_emissions(log_probs, unit_labels, blank_index) -> EmissionMatrix:
+    """An ``EmissionMatrix`` from a dense T x (V+1) grid of log10
+    probabilities. Every entry that is not -inf is listed, NaN and +inf
+    included, so the matrix's own checks see them."""
+    grid = np.asarray(log_probs, dtype=np.float64)
+    if grid.ndim != 2:
+        raise ValueError(f"need a T x (V+1) matrix, got shape {grid.shape}")
+    if grid.shape[1] != len(unit_labels) + 1:
+        raise ValueError(f"{len(unit_labels)} unit labels require {len(unit_labels) + 1} columns, got {grid.shape[1]}")
+    frames = [[(c, row[c]) for c in range(len(row)) if row[c] != NEG_INF] for row in grid.tolist()]
+    return EmissionMatrix(frames, unit_labels, blank_index)
+
+
 def recursive_edit_distance(ref, hyp) -> int:
     """Plain memoized Levenshtein recursion (distance only)."""
     ref, hyp = tuple(ref), tuple(hyp)
@@ -479,7 +492,7 @@ def scalar_draw_synth_emissions(pinyin, alphabet, config):
 
     with np.errstate(divide="ignore"):
         log_probs = np.log10(np.vstack(rows))
-    return EmissionMatrix(log_probs=log_probs, unit_labels=alphabet, blank_index=blank)
+    return dense_emissions(log_probs, unit_labels=alphabet, blank_index=blank)
 
 
 # Helpers only the tests use.

@@ -19,13 +19,14 @@ from pinasr import assets
 from pinasr.ambiguity import mapping_stats
 from pinasr.cli import PipelineConfig, cmd_pipeline
 from pinasr.corpus import build_parallel
-from pinasr.ctc import DecoderConfig, EmissionMatrix, prefix_beam_search
+from pinasr.ctc import DecoderConfig, prefix_beam_search
 from pinasr.metrics import edit_distance
 from pinasr.ngram_lm import read_arpa, train, write_arpa
 from pinasr.pinyin import parse_syllable, strip_tone
 from pinasr.transcriber import beam_transcribe
 from reference_impls import (
     brute_force_decode,
+    dense_emissions,
     enumerate_lattice_best,
     min_frames_required,
     prediction_vocabulary,
@@ -44,7 +45,7 @@ def report_pass(number: int, message: str) -> None:
 
 def random_emissions(rng, T, V):
     probs = rng.dirichlet(np.ones(V + 1), size=T)
-    return EmissionMatrix(np.log10(probs), tuple("abcd"[:V]), blank_index=V)
+    return dense_emissions(np.log10(probs), tuple("abcd"[:V]), blank_index=V)
 
 
 def test_criterion_1_ctc_oracle_equivalence():

@@ -79,3 +79,34 @@ def test_missing_file_is_reported(tmp_path, monkeypatch):
         assets.default_lexicon.cache_clear()
     assert not report.ok
     assert any(c.name == "present:corpus_toy20.txt" and not c.ok for c in report.checks)
+
+
+def test_removed_tone_is_detected(tmp_path, monkeypatch):
+    data_dir = Path(assets.data_path("manifest.tsv")).parent
+    workdir = tmp_path / "data"
+    shutil.copytree(data_dir, workdir)
+    # A tone-1-4 unit that no lexicon entry reads, so the lexicon still loads.
+    unread = sorted(assets.default_inventory().tonal_units - assets.default_lexicon().all_units())
+    dropped = next(unit for unit in unread if not unit.endswith("5"))
+    syllables = workdir / "syllables.txt"
+    lines = syllables.read_text(encoding="utf-8").splitlines()
+    syllables.write_text("\n".join(line for line in lines if line != dropped) + "\n", encoding="utf-8")
+
+    def fake_data_path(name):
+        path = workdir / name
+        if not path.exists():
+            raise FileNotFoundError(f"bundled data file missing: {path}")
+        return path
+
+    monkeypatch.setattr(assets, "data_path", fake_data_path)
+    assets.default_inventory.cache_clear()
+    assets.default_lexicon.cache_clear()
+    try:
+        report = validate_assets()
+    finally:
+        assets.default_inventory.cache_clear()
+        assets.default_lexicon.cache_clear()
+    check = next(c for c in report.checks if c.name == "tones-complete")
+    assert not check.ok
+    assert dropped in check.detail
+    assert "lexicon-closure" not in {c.name for c in report.checks if not c.ok}

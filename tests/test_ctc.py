@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pinasr.ctc import (
     DecoderConfig,
     EmissionMatrix,
+    InvalidEmissions,
     VocabularyMismatch,
     collapse_alignment,
     greedy_decode,
@@ -24,6 +25,7 @@ from reference_impls import (
     InstanceTooLarge,
     brute_force_decode,
     closure_prefix_beam_search,
+    dense_emissions,
     enumerate_ctc_distribution,
     min_frames_required,
     reference_score,
@@ -35,14 +37,14 @@ NEG_INF = float("-inf")
 
 def random_emissions(rng, T, V, labels="abcde"):
     probs = rng.dirichlet(np.ones(V + 1), size=T)
-    return EmissionMatrix(np.log10(probs), tuple(labels[:V]), blank_index=V)
+    return dense_emissions(np.log10(probs), tuple(labels[:V]), blank_index=V)
 
 
 def one_hot_emissions(classes, V, labels="abcde"):
     grid = np.full((len(classes), V + 1), NEG_INF)
     for t, c in enumerate(classes):
         grid[t, c] = 0.0
-    return EmissionMatrix(grid, tuple(labels[:V]), blank_index=V)
+    return dense_emissions(grid, tuple(labels[:V]), blank_index=V)
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +68,11 @@ def test_log10addexp():
 
 def test_emission_matrix_validation():
     with pytest.raises(ValueError, match="sums to"):
-        EmissionMatrix(np.log10([[0.6, 0.6]]), ("a",), blank_index=1)
+        dense_emissions(np.log10([[0.6, 0.6]]), ("a",), blank_index=1)
     with pytest.raises(ValueError, match="blank_index"):
-        EmissionMatrix(np.log10([[0.5, 0.5]]), ("a",), blank_index=2)
+        dense_emissions(np.log10([[0.5, 0.5]]), ("a",), blank_index=2)
     with pytest.raises(ValueError, match="columns"):
-        EmissionMatrix(np.log10([[0.5, 0.5]]), ("a", "b"), blank_index=1)
+        dense_emissions(np.log10([[0.5, 0.5]]), ("a", "b"), blank_index=1)
 
 
 @pytest.mark.filterwarnings("error")
@@ -79,12 +81,49 @@ def test_emission_matrix_rejects_non_finite(bad):
     grid = np.array([[0.0, NEG_INF], [math.log10(0.5), math.log10(0.5)]])
     grid[1, 0] = bad
     with pytest.raises(ValueError, match="frame 1 class 0"):
-        EmissionMatrix(grid, ("a",), blank_index=1)
+        dense_emissions(grid, ("a",), blank_index=1)
 
 
 def test_emission_matrix_rejects_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate unit label 'a'"):
-        EmissionMatrix(np.log10([[0.25, 0.25, 0.5]]), ("a", "a"), blank_index=2)
+        dense_emissions(np.log10([[0.25, 0.25, 0.5]]), ("a", "a"), blank_index=2)
+
+
+NAN, INF, H = float("nan"), float("inf"), math.log10(0.5)
+
+
+@pytest.mark.parametrize("frames, t", [
+    ([[(1, 0.0)], [(0, NAN), (1, 0.0)]], 1),
+    ([[(0, INF)]], 0),
+    ([[(1, 0.0)], [(1, 0.0)], [(0, NEG_INF), (1, 0.0)]], 2),
+    ([[(0, H), (2, H)]], 0),
+    ([[(1, 0.0)], [(-1, H), (1, H)]], 1),
+    ([[(1, 0.0)], [(0, H), (0, H)]], 1),
+    ([[(1, H), (0, H)]], 0),
+    ([[(1, 0.0)], [(1, 0.0)], [(0, -1.0)]], 2),
+], ids=["nan", "inf", "listed-neg-inf", "class-above-range", "class-below-range", "repeated-class",
+        "descending-classes", "row-sum"])
+def test_emission_matrix_names_the_line_of_a_bad_frame(frames, t):
+    with pytest.raises(InvalidEmissions) as info:
+        EmissionMatrix(frames, ("a",), blank_index=1)
+    assert info.value.line == 3 + t
+    assert str(info.value).startswith((f"frame {t} class ", f"row {t} sums to "))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_greedy_is_argmax_of_the_dense_view(data):
+    # Few distinct weights, so frames often tie; np.argmax takes the first.
+    T, V = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
+    row = st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=V + 1, max_size=V + 1).filter(any)
+    weights = np.array(data.draw(st.lists(row, min_size=T, max_size=T)))
+    with np.errstate(divide="ignore"):
+        grid = np.log10(weights / weights.sum(axis=1, keepdims=True))
+    labels = tuple(data.draw(st.permutations("abcde"))[:V])
+    blank = data.draw(st.integers(0, V))
+    e = dense_emissions(grid, labels, blank_index=blank)
+    collapsed = collapse_alignment(np.argmax(e.log_probs, axis=1).tolist(), blank)
+    assert greedy_decode(e) == [labels[c if c < blank else c - 1] for c in collapsed]
 
 
 def test_greedy_one_hot():
@@ -95,18 +134,18 @@ def test_greedy_one_hot():
 
 
 def test_greedy_tie_breaks_low_class():
-    e = EmissionMatrix(np.log10([[0.4, 0.4, 0.2]]), ("a", "b"), blank_index=2)
+    e = dense_emissions(np.log10([[0.4, 0.4, 0.2]]), ("a", "b"), blank_index=2)
     assert greedy_decode(e) == ["a"]
 
 
 def test_sequence_logprob_single_frame_uniform():
-    e = EmissionMatrix(np.log10([[0.5, 0.5]]), ("a",), blank_index=1)
+    e = dense_emissions(np.log10([[0.5, 0.5]]), ("a",), blank_index=1)
     assert sequence_logprob(e, ["a"]) == pytest.approx(math.log10(0.5), abs=1e-12)
     assert sequence_logprob(e, []) == pytest.approx(math.log10(0.5), abs=1e-12)
 
 
 def test_sequence_logprob_infeasible():
-    e = EmissionMatrix(np.log10([[0.5, 0.5], [0.5, 0.5]]), ("a",), blank_index=1)
+    e = dense_emissions(np.log10([[0.5, 0.5], [0.5, 0.5]]), ("a",), blank_index=1)
     with pytest.raises(InfeasibleLength):
         sequence_logprob(e, ["a", "a", "a"])
     # repeated labels need a separating blank frame
@@ -188,7 +227,7 @@ def test_lm_weight_flips_ranking_at_threshold():
     grid[0, 0] = 0.0
     grid[1, 1] = math.log10(0.4)
     grid[1, 2] = math.log10(0.6)
-    e = EmissionMatrix(grid, ("a", "b", "c"), blank_index=3)
+    e = dense_emissions(grid, ("a", "b", "c"), blank_index=3)
     lm = train([["a", "b"]] * 9 + [["a", "c"]], order=2, discount=0.5, vocabulary=list("abc"))
     delta_acoustic = math.log10(0.6) - math.log10(0.4)
     delta_lm = reference_score(lm, ["a"], "b") - reference_score(lm, ["a"], "c")
@@ -206,7 +245,7 @@ def test_beam_ties_follow_label_order_not_class_order(width):
     # break by the label strings, as the brute-force oracle does.
     labels = ("c", "a", "b")
     lm = train([["a", "b"], ["c"], ["b", "c", "a"]], order=2, discount=0.5, vocabulary=labels)
-    uniform = [EmissionMatrix(np.full((T, 4), math.log10(0.25)), labels, blank_index=3) for T in (1, 2, 3, 4)]
+    uniform = [dense_emissions(np.full((T, 4), math.log10(0.25)), labels, blank_index=3) for T in (1, 2, 3, 4)]
     one_hot = [one_hot_emissions(frames, V=3, labels=labels) for frames in ([0, 3, 1], [2, 0, 3, 0], [3, 1, 2])]
     for e in uniform + one_hot:
         for model, alpha, beta in ((None, 0.0, 0.0), (None, 0.0, 0.3), (lm, 0.5, 0.1)):
@@ -238,7 +277,7 @@ def test_beam_matches_closure_reference(fusion_lm, data):
     with np.errstate(divide="ignore"):
         grid = np.log10(weights / weights.sum(axis=1, keepdims=True))
     labels = tuple(data.draw(st.permutations("abcde"))[:V])  # class order differs from label order
-    e = EmissionMatrix(grid, labels, blank_index=data.draw(st.integers(0, V)))
+    e = dense_emissions(grid, labels, blank_index=data.draw(st.integers(0, V)))
     lm = data.draw(st.sampled_from([None, fusion_lm, TRIGRAM_LM]))
     config = DecoderConfig(
         beam_width=data.draw(st.integers(1, 4)),
@@ -263,7 +302,7 @@ def test_alphabet_tables_are_kept_per_labels_blank_and_model(fusion_lm):
     config = DecoderConfig(beam_width=4, lm_weight=0.5)
     rng = np.random.default_rng(5)
     em = random_emissions(rng, 5, 3, labels=("a", "b", "z"))   # blank last
-    blank_first = EmissionMatrix(em.log_probs[:, [3, 0, 1, 2]], em.unit_labels, blank_index=0)
+    blank_first = dense_emissions(em.log_probs[:, [3, 0, 1, 2]], em.unit_labels, blank_index=0)
     assert prefix_beam_search(em, wide, config) == closure_prefix_beam_search(em, wide, config)
     for _ in range(2):   # a failed check leaves nothing cached
         with pytest.raises(VocabularyMismatch, match="'z'"):   # other blank index and model
@@ -294,7 +333,7 @@ def test_brute_force_guard():
     with pytest.raises(InstanceTooLarge):
         brute_force_decode(random_emissions(rng, 9, 2))
     with pytest.raises(InstanceTooLarge):
-        brute_force_decode(EmissionMatrix(
+        brute_force_decode(dense_emissions(
             np.log10(rng.dirichlet(np.ones(7), size=2)), tuple("abcdef"), blank_index=6
         ))
 
@@ -340,6 +379,15 @@ def test_emission_file_rejects_bad_header():
             read_emissions(io.StringIO(text))
 
 
+@pytest.mark.parametrize("label", ["a b", ""])
+def test_write_emissions_rejects_a_label_with_whitespace_on_every_write(label):
+    # The label check is cached per label tuple; a failed check caches nothing.
+    e = EmissionMatrix([[(1, 0.0)]], (label,), blank_index=1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="empty or contains whitespace"):
+            write_emissions(e, io.StringIO())
+
+
 HALF = repr(math.log10(0.5))
 
 
@@ -366,7 +414,7 @@ def test_emission_file_round_trip_property(data):
     labels = data.draw(st.lists(
         st.text("abz019:", min_size=1, max_size=3), min_size=V, max_size=V, unique=True
     ))
-    e = EmissionMatrix(grid, tuple(labels), blank_index=data.draw(st.integers(0, V)))
+    e = dense_emissions(grid, tuple(labels), blank_index=data.draw(st.integers(0, V)))
     first = io.StringIO()
     write_emissions(e, first)
     back = read_emissions(io.StringIO(first.getvalue()))

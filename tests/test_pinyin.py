@@ -82,9 +82,13 @@ def test_round_trip_whole_inventory(inventory):
         assert "".join(split_unit(unit)) == unit
 
 
-def test_strip_is_surjective_onto_toneless(inventory):
-    stripped = set(map(strip_tone, inventory.tonal_units))
-    assert stripped == set(inventory.toneless_units)
+def test_inventory_is_every_segment_in_tones_1_to_4_plus_read_tone_5(inventory, lexicon):
+    # The claim of the syllables.txt header (1649 = 409 x 4 + 13).
+    four_tones = {seg + tone for seg in inventory.toneless_units for tone in "1234"}
+    neutral = inventory.tonal_units - four_tones
+    assert four_tones <= inventory.tonal_units
+    assert {split_unit(unit)[2] for unit in neutral} == {"5"}
+    assert neutral <= lexicon.all_units()
 
 
 def test_split_unit_prefers_long_onsets():

@@ -76,6 +76,24 @@ def test_unknown_unit_rejected():
         synth_emissions(["xx9"], ALPHA, SimConfig())
 
 
+def test_duplicate_alphabet_label_rejected_on_every_call():
+    # The label index is cached per alphabet; a failed check caches nothing.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate"):
+            synth_emissions(["ma1"], ("ma1", "gu1", "ma1"), SimConfig())
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_zero_release_leak_lists_no_entry(policy):
+    # blank_fill 1 leaves the release leak at 0: the neighbour is not listed,
+    # as log10(0) = -inf was not.
+    config = SimConfig(blank_fill=1.0, confusion_temperature=2.5, confusion_policy=policy, seed=4)
+    units = ["zhong1", "ma3", "ma3"]
+    got = synth_emissions(units, ALPHA, config)
+    assert got.frames == scalar_draw_synth_emissions(units, ALPHA, config).frames
+    assert all(frame == ((len(ALPHA), 0.0),) for frame in got.frames[3::4])
+
+
 def test_tone_neighbor_leak_stays_in_segment():
     config = SimConfig(confusion_temperature=2.0, confusion_policy="tone-neighbor", seed=3)
     emissions = synth_emissions(["zhong1"], ALPHA, config)
