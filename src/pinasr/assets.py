@@ -88,7 +88,7 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def _record_count(name: str, path: Path) -> int:
+def _record_count(path: Path) -> int:
     lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l.strip() and not l.startswith("#")]
     return len(lines)
 
@@ -111,7 +111,7 @@ def validate_assets(manifest_path: Path | None = None) -> ValidationReport:
                 "matches manifest" if digest == entry.sha256 else f"got {digest[:12]}..., manifest {entry.sha256[:12]}...",
             )
         )
-        count = _record_count(entry.path, path)
+        count = _record_count(path)
         checks.append(
             Check(
                 f"count:{entry.path}",

@@ -102,8 +102,18 @@ def _coerce(field_type: str, value: str, where: str):
 
 
 def config_hash(config: PipelineConfig) -> str:
-    canonical = "\n".join(f"{k}={v}" for k, v in sorted(dataclasses.asdict(config).items()))
+    """A hash of every key but ``out_dir``: one config hashes alike wherever it writes."""
+    canonical = "\n".join(f"{k}={v}" for k, v in sorted(dataclasses.asdict(config).items()) if k != "out_dir")
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+@contextmanager
+def _naming(where):
+    """Put ``where`` (a file, or file:line) first in a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 @contextmanager
@@ -227,14 +237,13 @@ class Pipeline:
         if not lenient:
             lattice.check_exact()
         c = self.config
-        return transcriber.beam_transcribe(lattice, char_lm, c.channel_weight, c.transcriber_beam)[0]
+        return transcriber.beam_transcribe(lattice, char_lm, c.channel_weight, c.transcriber_beam)
 
 
 @dataclass
 class PipelineResult:
     """Hypotheses and scores of a pipeline run, in eval-corpus order."""
 
-    unit_lm_on: bool   # a unit LM was fused into the beam
     hyp_units: list[list[str]]
     transcripts: list[tuple[str, float]]   # (Hanzi, total score) of the best reading
     scores: dict[str, metrics.ScoreReport]   # uer, uer_tone_stripped (tonal units only), cer
@@ -242,11 +251,8 @@ class PipelineResult:
 
 def _read_emission_file(path: Path) -> EmissionMatrix:
     """The emissions in ``path``; a read error names the file first."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return read_emissions(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    with open(path, encoding="utf-8") as fh, _naming(path):
+        return read_emissions(fh)
 
 
 def _check_refs(path: Path, utterances) -> None:
@@ -290,14 +296,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         except (ValueError, OSError) as exc:
             raise ValueError(f"stage={stage} utt={index}: {exc}") from exc
         hyp_units.append(hyp)
-        transcripts.append((best.hanzi, best.total_score))   # its n-best list, kept per utterance, costs memory
+        transcripts.append((best.hanzi, best.total_score))
 
     ref_units = [units for _, units in evals]
     scores = {"uer": metrics.error_rate(ref_units, hyp_units)}
     if pipe.tonal:
         scores["uer_tone_stripped"] = metrics.tone_stripped_rescore(ref_units, hyp_units, pipe.inventory)
     scores["cer"] = metrics.error_rate([list(h) for h, _ in evals], [list(hanzi) for hanzi, _ in transcripts])
-    return PipelineResult(unit_lm is not None, hyp_units, transcripts, scores)
+    return PipelineResult(hyp_units, transcripts, scores)
 
 
 def write_report(config: PipelineConfig, result: PipelineResult) -> list[str]:
@@ -307,7 +313,7 @@ def write_report(config: PipelineConfig, result: PipelineResult) -> list[str]:
         f"config_hash\t{config_hash(config)}",
         f"utterances\t{len(result.transcripts)}",
         f"unit_mode\t{config.unit_mode}",
-        f"pinyin_lm\t{'on' if result.unit_lm_on else 'off'}",
+        f"pinyin_lm\t{'on' if config.use_pinyin_lm else 'off'}",
     ] + [f"{name}\t{report.error_rate:.6f}" for name, report in result.scores.items()]
     detail = [
         json.dumps({"utt": u.index, "uer": u.__dict__, "cer": c.__dict__}, ensure_ascii=False, sort_keys=True)
@@ -356,11 +362,10 @@ def cmd_train_lm(args, config: PipelineConfig) -> int:
         if model is None:
             continue
         with atomic_open(out_dir / name) as fh:
-            ngram_lm.write_arpa(model, fh)
+            counts = ngram_lm.write_arpa(model, fh)
         print(f"{out_dir / name}\tvocabulary\t{len(model.vocabulary)}")
-        grams = model.prob_table
-        for k in range(1, model.order + 1):
-            print(f"{out_dir / name}\tngram_{k}\t{sum(len(gram) == k for gram in grams)}")
+        for k, count in enumerate(counts, 1):
+            print(f"{out_dir / name}\tngram_{k}\t{count}")
     return 0
 
 
@@ -373,7 +378,9 @@ def cmd_decode(args, config: PipelineConfig) -> int:
         print(f"no *.em files under {source}", file=sys.stderr)
         return 1
     for path in files:
-        units, score = prefix_beam_search(_read_emission_file(path), lm, decoder)[0]
+        emissions = _read_emission_file(path)
+        with _naming(path):   # the LM may lack units of this file
+            units, score = prefix_beam_search(emissions, lm, decoder)[0]
         print(f"{path.stem}\t{' '.join(units)}\t{score:.6f}")
     return 0
 
@@ -383,8 +390,11 @@ def cmd_transcribe(args, config: PipelineConfig) -> int:
     if not config.char_lm:
         raise ConfigError("transcribe needs --char-lm (an ARPA character LM)")
     char_lm = _read_arpa(config.char_lm)
-    for line in _read_lines(args.input):
-        best = pipe.transcribe(line.split(), char_lm, lenient=False)
+    for lineno, line in enumerate(_existing(args.input).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        with _naming(f"{args.input}:{lineno}"):   # NoCandidate, or OutOfVocabulary without <unk>
+            best = pipe.transcribe(line.split(), char_lm, lenient=False)
         print(f"{best.hanzi}\t{best.total_score:.6f}")
     return 0
 

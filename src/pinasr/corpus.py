@@ -1,9 +1,9 @@
-"""Text-corpus ingestion: length/exclusion filtering and Hanzi-pinyin pairing."""
+"""Text-corpus ingestion: length filtering and Hanzi-pinyin pairing."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .pinyin import (
@@ -34,7 +34,6 @@ class FilterResult:
     sentences: list[str]
     malformed: int = 0
     out_of_bounds: int = 0
-    excluded: int = 0
     duplicates: int = 0
 
 
@@ -50,16 +49,13 @@ def filter_sentences(
     lines: Iterable[str],
     min_len: int,
     max_len: int,
-    exclusion: Iterable[str] = (),
 ) -> FilterResult:
     """Keep normalized sentences with length in [min_len, max_len].
 
-    Sentences in ``exclusion`` (compared after the same normalization) and
-    exact repeats are dropped; lines that normalize to nothing count as
+    Exact repeats are dropped; lines that normalize to nothing count as
     malformed. Input order is preserved.
     """
     check_length_bounds(min_len, max_len)
-    excluded_set = {normalize_hanzi(s) for s in exclusion}
     result = FilterResult(sentences=[])
     seen: set[str] = set()
     for line in lines:
@@ -69,9 +65,6 @@ def filter_sentences(
             continue
         if not (min_len <= len(sentence) <= max_len):
             result.out_of_bounds += 1
-            continue
-        if sentence in excluded_set:
-            result.excluded += 1
             continue
         if sentence in seen:
             result.duplicates += 1

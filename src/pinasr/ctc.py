@@ -169,10 +169,9 @@ def _alphabet_tables(unit_labels: tuple[str, ...], blank_index: int, lm: NGramMo
         raise VocabularyMismatch(f"units absent from LM vocabulary: {missing[:5]}")
     by_label = sorted(range(len(unit_labels)), key=unit_labels.__getitem__)
     labels = tuple(unit_labels[u] for u in by_label)
-    unit_number = np.empty(len(unit_labels), dtype=np.int64)
-    unit_number[by_label] = np.arange(len(unit_labels))
-    unit_of_class = tuple(np.insert(unit_number, blank_index, -1).tolist())
-    return labels, unit_of_class, None if lm is None else tuple(map(lm.word, labels))
+    unit_of_class = sorted(range(len(unit_labels)), key=by_label.__getitem__)   # the inverse of by_label
+    unit_of_class.insert(blank_index, -1)
+    return labels, tuple(unit_of_class), None if lm is None else tuple(map(lm.word, labels))
 
 
 def prefix_beam_search(

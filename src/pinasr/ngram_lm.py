@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -51,61 +51,49 @@ class OutOfVocabulary(ValueError):
     """A token outside the vocabulary, scored by a model that has no ``<unk>``."""
 
 
-@dataclass
-class CountTable:
-    """Raw and continuation-adjusted n-gram counts, one dict per order.
-
-    ``raw[k-1]`` maps k-gram tuples to occurrence counts over the padded
-    corpus. ``adjusted[k-1]`` holds the counts the smoothing actually uses:
-    raw counts at the top order and for ``<s>``-initial n-grams, distinct
-    predecessor counts everywhere else.
-    """
-
-    order: int
-    raw: list[dict[tuple[str, ...], int]] = field(default_factory=list)
-    adjusted: list[dict[tuple[str, ...], int]] = field(default_factory=list)
-
-
-def _count_ngrams(sentences: Sequence[Sequence[str]], order: int) -> CountTable:
-    table = CountTable(order=order, raw=[{} for _ in range(order)], adjusted=[{} for _ in range(order)])
+def _count_ngrams(sentences: Sequence[Sequence[str]], order: int) -> list[dict[tuple[str, ...], int]]:
+    """The counts the smoothing uses, one dict of k-gram tuples per order k:
+    raw occurrence counts over the padded corpus at the top order and for
+    ``<s>``-initial n-grams, distinct predecessor counts everywhere else."""
+    raw: list[dict[tuple[str, ...], int]] = [{} for _ in range(order)]
     for sentence in sentences:
         padded = [BOS, *sentence, EOS]
         for k in range(1, order + 1):
-            counts = table.raw[k - 1]
+            counts = raw[k - 1]
             for i in range(len(padded) - k + 1):
                 gram = tuple(padded[i:i + k])
                 counts[gram] = counts.get(gram, 0) + 1
-    top = order - 1
-    table.adjusted[top] = dict(table.raw[top])
-    for k in range(top - 1, -1, -1):
-        adj = table.adjusted[k]
+    adjusted = [{} for _ in range(order - 1)] + [raw[-1]]
+    for k in range(order - 2, -1, -1):
+        adj = adjusted[k]
         # Distinct-predecessor counts come from presence one order up; the
         # suffix of a (k+2)-gram can never start with <s>.
-        for gram in table.raw[k + 1]:
+        for gram in raw[k + 1]:
             suffix = gram[1:]
             adj[suffix] = adj.get(suffix, 0) + 1
-        for gram, count in table.raw[k].items():
+        for gram, count in raw[k].items():
             if gram[0] == BOS:
                 adj[gram] = count
-    return table
+    return adjusted
 
 
 class NGramModel:
     """A trained (or ARPA-loaded) backoff model, compiled on construction to
     integer tables; immutable and safe for concurrent scoring.
 
-    ``word`` numbers the tokens and ``state`` the contexts the tables store:
-    every backoff key and n-gram history shorter than ``order``, closed
-    under prefixes, with ``()`` as state 0. A state keeps its backoff weight
-    and its parent, the longest stored proper suffix; ``score_token`` is the
-    one query. A top-order n-gram's backoff weight weighs on no query and is
-    not kept.
+    The vocabulary is the unigrams' tokens, and every token of an n-gram has
+    a unigram. ``word`` numbers the tokens and ``state`` the contexts the
+    tables store: every backoff key and n-gram history shorter than
+    ``order``, closed under prefixes, with ``()`` as state 0. A state keeps
+    its backoff weight and its parent, the longest stored proper suffix;
+    ``score_token`` is the one query. A top-order n-gram's backoff weight
+    weighs on no query and is not kept.
     """
 
-    def __init__(self, order: int, vocabulary: Iterable[str],
-                 prob_table: dict[tuple[str, ...], float], backoff_table: dict[tuple[str, ...], float]):
+    def __init__(self, order: int, prob_table: dict[tuple[str, ...], float],
+                 backoff_table: dict[tuple[str, ...], float]):
         self.order = order
-        self._words = words = {token: i for i, token in enumerate(sorted(vocabulary))}
+        self._words = words = {token: i for i, token in enumerate(sorted(g[0] for g in prob_table if len(g) == 1))}
         self.vocabulary = words.keys()
         self._num_words = size = len(words)
         contexts = dict.fromkeys([(), *(key for key in backoff_table if len(key) < order)])
@@ -160,12 +148,7 @@ class NGramModel:
         """
         size, prob, follow, backoff, parent = self._num_words, self._prob, self._next, self._backoff, self._parent
         at, penalty = state, 0.0
-        while (hit := prob.get(at * size + word)) is None:
-            if not at:
-                # Trained and ARPA-read models have a unigram for every
-                # vocabulary token; a hand-built one may omit the begin marker's.
-                hit = BOS_LOG10
-                break
+        while (hit := prob.get(at * size + word)) is None:   # every word has a unigram at state 0
             penalty += backoff[at] or 0.0
             at = parent[at]
         while (following := follow.get(state * size + word)) is None and state:
@@ -218,17 +201,13 @@ def train(
     if vocabulary is not None:
         vocab = set(vocabulary) - {BOS, EOS, UNK}
     else:
-        freq: dict[str, int] = {}
-        for sentence in corpus:
-            for token in sentence:
-                freq[token] = freq.get(token, 0) + 1
-        vocab = {t for t, c in freq.items() if c >= min_count}
+        vocab = {t for t, c in Counter(chain.from_iterable(corpus)).items() if c >= min_count}
     mapped = [[t if t in vocab else UNK for t in sentence] for sentence in corpus]
 
     pred_vocab = sorted(vocab | {EOS, UNK})
     uniform = 1.0 / len(pred_vocab)
 
-    table = _count_ngrams(mapped, order)
+    adjusted = _count_ngrams(mapped, order)
     prob: dict[tuple[str, ...], float] = {}
     backoff: dict[tuple[str, ...], float] = {}
 
@@ -247,7 +226,7 @@ def train(
             context = context[1:]
 
     for k in range(1, order + 1):
-        counts = table.adjusted[k - 1]
+        counts = adjusted[k - 1]
         by_context: dict[tuple[str, ...], dict[str, int]] = {}
         for gram, count in counts.items():
             if k == 1 and gram[0] == BOS:
@@ -274,21 +253,17 @@ def train(
                 prob[context + (token,)] = math.log10(p)
 
     prob[(BOS,)] = BOS_LOG10
-    return NGramModel(
-        order=order,
-        vocabulary=frozenset(pred_vocab) | {BOS},
-        prob_table=prob,
-        backoff_table=backoff,
-    )
+    return NGramModel(order, prob, backoff)
 
 
 _NGRAM_HEADER_RE = re.compile(r"^ngram (\d+)=(\d+)$")
 _SECTION_RE = re.compile(r"^\\(\d+)-grams:$")
 
 
-def write_arpa(model: NGramModel, sink) -> None:
+def write_arpa(model: NGramModel, sink) -> list[int]:
     """Serialize in standard ARPA layout; floats are written with repr so a
-    round-trip reproduces every score bit-for-bit."""
+    round-trip reproduces every score bit-for-bit. Returns the n-gram count
+    of each order, unigrams first."""
     per_order: list[list[tuple[tuple[str, ...], float]]] = [[] for _ in range(model.order)]
     backoff = model.backoff_table
     for gram, logprob in model.prob_table.items():
@@ -309,6 +284,7 @@ def write_arpa(model: NGramModel, sink) -> None:
             sink.write(line + "\n")
         sink.write("\n")
     sink.write("\\end\\\n")
+    return [len(entries) for entries in per_order]
 
 
 def read_arpa(source) -> NGramModel:
@@ -394,11 +370,11 @@ def read_arpa(source) -> NGramModel:
     for k, expected in declared.items():
         if seen_per_order[k] != expected:
             fail(where[k], f"\\{k}-grams: declares {expected} entries but {seen_per_order[k]} were read")
-    vocabulary = frozenset(g[0] for g in prob if len(g) == 1)
+    vocabulary = {g[0] for g in prob if len(g) == 1}
     for gram in prob:
         for token in gram:
             if token not in vocabulary:
                 text = " ".join(gram)
                 lineno = next(n for n, line in enumerate(lines, 1) if line.split("\t")[1:2] == [text])
                 fail(lineno, f"n-gram {text!r} has token {token!r}, which has no unigram")
-    return NGramModel(order=order, vocabulary=vocabulary, prob_table=prob, backoff_table=backoff)
+    return NGramModel(order, prob, backoff)

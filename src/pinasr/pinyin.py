@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -69,13 +70,15 @@ def split_unit(unit: str) -> tuple[str, str, str]:
 class SyllableInventory:
     """The set of valid units, tonal and (derived) toneless.
 
-    ``toneless_units`` is always exactly the image of ``tonal_units`` under
-    tone stripping.
+    ``toneless_units`` is the image of ``tonal_units`` under tone stripping.
     """
 
     tonal_units: frozenset[str]
-    toneless_units: frozenset[str]
     version: str
+
+    @cached_property
+    def toneless_units(self) -> frozenset[str]:
+        return frozenset(map(strip_tone, self.tonal_units))
 
     @classmethod
     def from_units(cls, tonal_units: Iterable[str], version: str = "inline") -> "SyllableInventory":
@@ -83,8 +86,7 @@ class SyllableInventory:
         for unit in tonal:
             if not _TONAL_RE.match(unit):
                 raise InvalidSyllable(f"malformed tonal unit {unit!r}")
-        toneless = frozenset(map(strip_tone, tonal))
-        return cls(tonal_units=tonal, toneless_units=toneless, version=version)
+        return cls(tonal_units=tonal, version=version)
 
     @classmethod
     def from_file(cls, path) -> "SyllableInventory":
@@ -134,8 +136,7 @@ class PronunciationLexicon:
     construction and safe to share across threads.
     """
 
-    def __init__(self, entries: dict[str, Sequence[tuple[str, float]]], version: str = "inline"):
-        self.version = version
+    def __init__(self, entries: dict[str, Sequence[tuple[str, float]]]):
         self._entries: dict[str, tuple[tuple[str, float], ...]] = {}
         for char, readings in entries.items():
             if not readings:
@@ -186,7 +187,7 @@ class PronunciationLexicon:
                 except (InvalidSyllable, InvalidTone) as exc:
                     raise type(exc)(f"{path}:{lineno}: {exc}") from None
                 entries.setdefault(char, []).append((unit, weight))
-        return cls(entries, version=str(path))
+        return cls(entries)
 
     def __contains__(self, char: str) -> bool:
         return char in self._entries

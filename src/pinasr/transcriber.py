@@ -6,8 +6,9 @@ decoder then finds the character path maximizing
     log10 P_lm(path) + channel_weight * sum(log10 P(unit | char))
 
 with the LM scored like a sentence (begin and end markers included).
-``beam_transcribe`` keeps at most ``beam_width`` search states per position;
-with ``beam_width=None`` it keeps all and is the exact Viterbi search. Its
+``beam_transcribe`` keeps at most ``beam_width`` search states per position
+and returns the best reading; with ``beam_width=None`` it keeps all and is
+the exact Viterbi search. Its
 state is the char LM's integer state (``NGramModel.state``): the longest
 suffix of the last order-1 characters, out-of-vocabulary ones mapped to
 ``<unk>``, that the LM stores. That is all the LM can see, and paths the LM
@@ -106,14 +107,14 @@ def beam_transcribe(
     char_lm: NGramModel,
     channel_weight: float = 1.0,
     beam_width: int | None = 16,
-) -> list[TranscriptionResult]:
-    """Best lattice paths first (non-increasing scores): a DP over lattice
-    paths whose state is the minimized LM state of the path so far.
+) -> TranscriptionResult:
+    """The best lattice path: a DP over lattice paths whose state is the
+    minimized LM state of the path so far.
 
     Keeping, per state, the single best (score, lexicographically smallest)
     prefix is exact because any two paths meeting in a state share their
     future scores. At most ``beam_width`` states survive each position;
-    ``beam_width=None`` prunes none, so rank 1 is the exact Viterbi argmax.
+    ``beam_width=None`` prunes none, so the result is the exact Viterbi argmax.
     Only that exact search is bound to find what a search keyed by the raw
     last order-1 characters finds: a pruned beam keeps ``beam_width``
     distinct LM states, so other paths may survive than in the raw one.
@@ -137,6 +138,6 @@ def beam_transcribe(
             new_states = dict(ranked[:beam_width])
         states = new_states
     end = char_lm.word(EOS)
-    finals = [(score + char_lm.score_token(state, end)[0], prefix) for state, (score, prefix) in states.items()]
-    finals.sort(key=lambda item: (-item[0], item[1]))
-    return [TranscriptionResult(hanzi="".join(prefix), total_score=score) for score, prefix in finals]
+    finals = ((score + char_lm.score_token(state, end)[0], prefix) for state, (score, prefix) in states.items())
+    score, prefix = min(finals, key=lambda item: (-item[0], item[1]))
+    return TranscriptionResult(hanzi="".join(prefix), total_score=score)

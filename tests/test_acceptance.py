@@ -126,7 +126,7 @@ def test_criterion_4_transcriber_oracle_equivalence():
         lm = random_lm(rng, order=int(rng.integers(1, 4)))
         lattice = random_lattice(rng, max_positions=8, max_candidates=10)
         weight = float(rng.uniform(0.2, 2.0))
-        got = beam_transcribe(lattice, lm, weight, beam_width=None)[0]
+        got = beam_transcribe(lattice, lm, weight, beam_width=None)
         want_chars, want_score = enumerate_lattice_best(lattice, lm, weight)
         assert got.hanzi == "".join(want_chars), case
         assert got.total_score == pytest.approx(want_score, abs=1e-9)

@@ -96,6 +96,9 @@ def test_config_hash_is_stable_and_sensitive():
     c = PipelineConfig(seed=2)
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
+    # Where a run writes is not part of what it runs.
+    assert config_hash(PipelineConfig(seed=1, out_dir="x")) == config_hash(PipelineConfig(seed=1, out_dir="y/z"))
+    assert config_hash(PipelineConfig(seed=1, lexicon="lex.tsv")) != config_hash(a)
 
 
 def test_train_lm_round_trip_and_determinism(tmp_path, small_corpus, capsys):
@@ -168,12 +171,21 @@ def test_transcribe_command(tmp_path, capsys):
     assert len(hanzi) == 2
     assert hanzi == "中国"
 
-    # Strict: a unit no character reads stops the run, after the lines before it.
-    pinyin_file.write_text("zhong1 guo2\nzhong1 zhong2\n", encoding="utf-8")
+    # Strict: a unit no character reads stops the run, after the lines before
+    # it, naming its input line (blank lines counted).
+    pinyin_file.write_text("zhong1 guo2\n\nzhong1 zhong2\n", encoding="utf-8")
     code, strict_out, err = run(capsys, "transcribe", "--input", str(pinyin_file), "--char-lm", str(lm_path))
     assert code == 1
-    assert err == "error: no homophone candidates for 'zhong2' at position 1\n"
+    assert err == f"error: {pinyin_file}:3: no homophone candidates for 'zhong2' at position 1\n"
     assert strict_out == out
+
+    # A char LM without <unk> refuses a character it lacks, naming the line too.
+    (tmp_path / "no_unk.arpa").write_text(
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\t</s>\n-99.0\t<s>\n-0.3\t中\n\n\\end\\\n", encoding="utf-8")
+    pinyin_file.write_text("\nzhong1 guo2\n", encoding="utf-8")
+    code, out, err = run(capsys, "transcribe", "--input", str(pinyin_file), "--char-lm", str(tmp_path / "no_unk.arpa"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {pinyin_file}:2: token ") and "which has no <unk>" in err
 
 
 def test_transcribe_requires_char_lm(tmp_path, capsys):
@@ -214,6 +226,13 @@ def test_emission_file_error_names_its_file(tmp_path, small_corpus, capsys):
     code, out, err = run(capsys, "decode", "--emissions", str(em_dir))
     assert code == 1 and out.startswith("utt_0000\ta\t")
     assert err == f"error: {em_dir / 'utt_0001.em'}: line 1: header declares 2 frames, file has 1 rows\n"
+    # A fusion LM that lacks a file's units: the file is named too.
+    (em_dir / "utt_0001.em").write_text("1 1 1\nb\n0:0.0\n", encoding="utf-8")
+    (tmp_path / "units.arpa").write_text(GOOD_ARPA.replace("ngram 1=1", "ngram 1=3").replace(
+        "-0.5\ta\n", "-0.3\t</s>\n-99.0\t<s>\n-0.3\ta\n"), encoding="utf-8")
+    code, out, err = run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(tmp_path / "units.arpa"))
+    assert code == 1 and out.startswith("utt_0000\ta\t")
+    assert err == f"error: {em_dir / 'utt_0001.em'}: units absent from LM vocabulary: ['b']\n"
     # pipeline --emissions-dir blames the ingest stage and names the file too.
     synth_dir = tmp_path / "synth"
     assert run(capsys, "synth", "--eval-corpus", str(small_corpus), "--out-dir", str(synth_dir))[0] == 0

@@ -27,11 +27,6 @@ def test_boundary_inclusion():
     assert result.out_of_bounds == 2
 
 
-def test_exclusion_is_exact_after_normalization():
-    result = filter_sentences(["我们去公园。"], 5, 40, exclusion=["我们去公园"])
-    assert result.sentences == [] and result.excluded == 1
-
-
 def test_duplicates_kept_once():
     result = filter_sentences(["我们去公园玩", "我们去公园玩"], 5, 40)
     assert result.sentences == ["我们去公园玩"]

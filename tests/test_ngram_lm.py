@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 
@@ -123,11 +124,12 @@ def test_train_validations():
 
 
 def test_count_table_prefix_closure():
-    table = _count_ngrams([["a", "b", "a"], ["b", "a"]], 3)
+    adjusted = _count_ngrams([["a", "b", "a"], ["b", "a"]], 3)
+    assert len(adjusted) == 3 and all(len(gram) == k for k, level in enumerate(adjusted, 1) for gram in level)
     for k in (2, 3):
-        for gram in table.adjusted[k - 1]:
-            assert gram[:-1] in table.adjusted[k - 2]
-    for level in table.raw + table.adjusted:
+        for gram in adjusted[k - 1]:
+            assert gram[:-1] in adjusted[k - 2]
+    for level in adjusted:
         assert all(c > 0 for c in level.values())
 
 
@@ -152,9 +154,7 @@ def test_uniform_model_perplexity_is_vocab_size():
     tokens = ("a", "b", "c", EOS)
     prob = {(t,): math.log10(1 / len(tokens)) for t in tokens}
     prob[(BOS,)] = -99.0
-    model = NGramModel(
-        order=1, vocabulary=frozenset(tokens) | {BOS}, prob_table=prob, backoff_table={}
-    )
+    model = NGramModel(order=1, prob_table=prob, backoff_table={})
     assert perplexity(model, [["a", "b"], ["c"]]) == pytest.approx(len(tokens), abs=1e-9)
 
 
@@ -320,16 +320,15 @@ def trained_models(draw):
                   min_count=draw(st.integers(1, 2)), vocabulary=MODEL_TOKENS if closed else None)
     if draw(st.booleans()):
         return model
-    return NGramModel(order, model.vocabulary - {UNK},
-                      {gram: p for gram, p in model.prob_table.items() if UNK not in gram},
+    return NGramModel(order, {gram: p for gram, p in model.prob_table.items() if UNK not in gram},
                       {gram: b for gram, b in model.backoff_table.items() if UNK not in gram})
 
 
 @st.composite
 def arpa_tables(draw):
-    """(order, vocabulary, n-gram log10 probabilities, backoff weights) with
-    arbitrary n-grams and weights, so histories may lack their prefixes and
-    stored contexts their backoff weights."""
+    """(order, n-gram log10 probabilities, backoff weights) over a vocabulary
+    of unigrams, with arbitrary n-grams and weights, so histories may lack
+    their prefixes and stored contexts their backoff weights."""
     order = draw(st.integers(1, 4))
     vocabulary = [*MODEL_TOKENS, BOS, EOS] + ([UNK] if draw(st.booleans()) else [])
     grams = [(t,) for t in vocabulary]
@@ -342,7 +341,7 @@ def arpa_tables(draw):
     logprob = st.floats(-3.0, 0.0)
     prob = {gram: draw(logprob) for gram in grams}
     backoff = {gram: draw(st.floats(-2.0, 1.0)) for gram in grams if draw(st.booleans())}
-    return order, frozenset(vocabulary), prob, backoff
+    return order, prob, backoff
 
 
 def arpa_model(tables):
@@ -396,11 +395,37 @@ def test_state_scores_like_the_full_context(model, lead):
 @settings(max_examples=100, deadline=None)
 def test_compiled_tables_give_back_the_stored_ones(tables):
     # Only a backoff weight on a top-order n-gram, which no query reaches, is dropped.
-    order, vocabulary, prob, backoff = tables
+    order, prob, backoff = tables
     model = NGramModel(*tables)
-    assert set(model.vocabulary) == vocabulary
+    assert set(model.vocabulary) == {gram[0] for gram in prob if len(gram) == 1}
+    assert list(arpa_model(tables).vocabulary) == list(model.vocabulary)
     assert model.prob_table == prob
     assert model.backoff_table == {gram: bow for gram, bow in backoff.items() if len(gram) < order}
+
+
+@given(st.lists(st.lists(st.sampled_from("abcz"), max_size=6), min_size=1, max_size=6),
+       st.integers(1, 4), st.integers(1, 2), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_vocabulary_is_the_unigram_tokens(corpus, order, min_count, closed):
+    # train stores a unigram for every token it can predict and for <s>, so
+    # the words are those of the vocabulary it was given or kept, and an
+    # ARPA round trip gives back the same words.
+    model = train(corpus, order=order, discount=0.5, min_count=min_count, vocabulary=MODEL_TOKENS if closed else None)
+    kept = set(MODEL_TOKENS) if closed else {t for t, c in Counter(chain(*corpus)).items() if c >= min_count}
+    unigrams = {gram[0] for gram in model.prob_table if len(gram) == 1}
+    assert set(model.vocabulary) == kept | {BOS, EOS, UNK} == unigrams
+    back = read_arpa(io.StringIO("\n".join(arpa_lines(model))))
+    assert list(back.vocabulary) == list(model.vocabulary)
+
+
+@given(LM_MODELS)
+@settings(max_examples=60, deadline=None)
+def test_write_arpa_returns_the_count_of_each_order(model):
+    buf = io.StringIO()
+    counts = write_arpa(model, buf)
+    grams = model.prob_table
+    assert counts == [sum(len(gram) == k for gram in grams) for k in range(1, model.order + 1)]
+    assert buf.getvalue().splitlines()[1:model.order + 1] == [f"ngram {k}={n}" for k, n in enumerate(counts, 1)]
 
 
 def test_state_closes_missing_prefixes():

@@ -91,6 +91,16 @@ def test_inventory_is_every_segment_in_tones_1_to_4_plus_read_tone_5(inventory, 
     assert neutral <= lexicon.all_units()
 
 
+def test_toneless_units_are_the_stripped_tonal_units(tmp_path, inventory):
+    path = tmp_path / "syllables.txt"
+    path.write_text("# version: t1\nzhong1\nzhong4\n\nlv4\na1\n", encoding="utf-8")
+    inline = SyllableInventory.from_units(["zhong1", "zhong4", "guo2", "er5"])
+    for inv in (inline, SyllableInventory.from_file(path), inventory):
+        assert inv.toneless_units == {strip_tone(unit) for unit in inv.tonal_units}
+    assert inline.toneless_units == {"zhong", "guo", "er"}
+    assert SyllableInventory.from_file(path).toneless_units == {"zhong", "lv", "a"}
+
+
 def test_split_unit_prefers_long_onsets():
     assert split_unit("zhong") == ("zh", "ong", "")
     assert split_unit("zong") == ("z", "ong", "")

@@ -77,7 +77,7 @@ def test_forced_path_when_single_candidates():
         units=("u0", "u1"),
         positions=((("X", math.log10(0.5)),), (("Y", math.log10(0.25)),)),
     )
-    result = beam_transcribe(lattice, lm, channel_weight=2.0, beam_width=None)[0]
+    result = beam_transcribe(lattice, lm, channel_weight=2.0, beam_width=None)
     assert result.hanzi == "XY"
     want = (
         reference_score(lm, ["<s>"], "X") + 2.0 * math.log10(0.5)
@@ -99,13 +99,12 @@ def test_bigram_preference_on_toy_lm():
         ("P", "Q"): math.log10(0.5),
         ("P", "R"): math.log10(0.05),
     }
-    lm = NGramModel(order=2, vocabulary=frozenset("PQR") | {"</s>", "<unk>", "<s>"},
-                    prob_table=prob, backoff_table={})
+    lm = NGramModel(order=2, prob_table=prob, backoff_table={})
     lattice = HomophoneLattice(
         units=("u0", "u1"),
         positions=((("P", -0.1),), (("Q", -0.3), ("R", -0.3))),
     )
-    assert beam_transcribe(lattice, lm, beam_width=None)[0].hanzi == "PQ"
+    assert beam_transcribe(lattice, lm, beam_width=None).hanzi == "PQ"
 
 
 def test_viterbi_equals_enumeration_seeded():
@@ -114,7 +113,7 @@ def test_viterbi_equals_enumeration_seeded():
         lm = random_lm(rng, order=int(rng.integers(1, 4)))
         lattice = random_lattice(rng)
         weight = float(rng.uniform(0.2, 2.0))
-        got = beam_transcribe(lattice, lm, weight, beam_width=None)[0]
+        got = beam_transcribe(lattice, lm, weight, beam_width=None)
         want_chars, want_score = enumerate_lattice_best(lattice, lm, weight)
         assert got.hanzi == "".join(want_chars), trial
         assert got.total_score == pytest.approx(want_score, abs=1e-9)
@@ -126,12 +125,10 @@ def test_exhaustive_beam_equals_viterbi():
     for _ in range(25):
         lm = random_lm(rng, order=2)
         lattice = random_lattice(rng, max_positions=6, max_candidates=6)
-        exact = beam_transcribe(lattice, lm, 1.0, beam_width=None)[0]
-        ranked = beam_transcribe(lattice, lm, 1.0, beam_width=10**6)
-        assert ranked[0].hanzi == exact.hanzi
-        assert ranked[0].total_score == pytest.approx(exact.total_score, abs=1e-12)
-        scores = [r.total_score for r in ranked]
-        assert scores == sorted(scores, reverse=True)
+        exact = beam_transcribe(lattice, lm, 1.0, beam_width=None)
+        wide = beam_transcribe(lattice, lm, 1.0, beam_width=10**6)
+        assert wide.hanzi == exact.hanzi
+        assert wide.total_score == pytest.approx(exact.total_score, abs=1e-12)
 
 
 @st.composite
@@ -161,7 +158,7 @@ def test_minimized_state_search_equals_raw_state_search(model_and_lattice, weigh
     # Paths the LM cannot tell apart share one state, so the exact search
     # finds the raw-state search's rank 1: the same Hanzi and the same score.
     model, lattice = model_and_lattice
-    got = outcome(lambda: beam_transcribe(lattice, model, weight, beam_width=None)[0])
+    got = outcome(lambda: beam_transcribe(lattice, model, weight, beam_width=None))
     assert got == outcome(lambda: raw_state_beam_transcribe(lattice, model, weight)[0])
 
 
@@ -181,8 +178,7 @@ def test_beam_width_one_is_greedy_chain():
     rng = np.random.default_rng(23)
     lm = random_lm(rng, order=2)
     lattice = random_lattice(rng, max_positions=5, max_candidates=4)
-    results = beam_transcribe(lattice, lm, 1.0, beam_width=1)
-    assert len(results) == 1
+    result = beam_transcribe(lattice, lm, 1.0, beam_width=1)
     # greedy chain: extend the single surviving context per position
     context, chars, score = ("<s>",), [], 0.0
     for candidates in lattice.positions:
@@ -193,15 +189,13 @@ def test_beam_width_one_is_greedy_chain():
         score += reference_score(lm, context, best[0]) + best[1]
         context = (context + (best[0],))[-1:]
         chars.append(best[0])
-    assert results[0].hanzi == "".join(chars)
+    assert result.hanzi == "".join(chars)
 
 
-def test_nbest_list_bounded_by_beam_width():
+def test_beam_width_zero_is_rejected():
     rng = np.random.default_rng(24)
     lm = random_lm(rng, order=2)
     lattice = random_lattice(rng, max_positions=4, max_candidates=4)
-    ranked = beam_transcribe(lattice, lm, 1.0, beam_width=5)
-    assert 1 <= len(ranked) <= 5
     with pytest.raises(ValueError):
         beam_transcribe(lattice, lm, 1.0, beam_width=0)
 
