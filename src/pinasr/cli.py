@@ -205,11 +205,18 @@ class Pipeline:
 
     def utterances(self, path: str, default_name: str, name: str) -> list[tuple[str, list[str]]]:
         """(Hanzi, units) of each sentence within the length bounds in a
-        sentence file; an empty path reads the bundled ``default_name``."""
+        sentence file; an empty path reads the bundled ``default_name``.
+        Sentences dropped on the way are counted in one line on stderr."""
         c = self.config
-        sentences = filter_sentences(_read_lines(path, default_name), c.min_len, c.max_len)
-        pairs = build_parallel(sentences.sentences, self.lexicon, name).pairs
-        return [(h, list(p) if self.tonal else [strip_tone(u) for u in p]) for h, p in pairs]
+        lines = _read_lines(path, default_name)
+        sentences = filter_sentences(lines, c.min_len, c.max_len)
+        corpus = build_parallel(sentences.sentences, self.lexicon, name)
+        if dropped := len(lines) - len(corpus):
+            print(f"{name} corpus {path or default_name}: dropped {dropped} of {len(lines)} sentences: "
+                  f"{sentences.malformed} without Hanzi, {sentences.out_of_bounds} outside the length bounds, "
+                  f"{sentences.duplicates} repeated, {corpus.skipped} with a character the lexicon lacks",
+                  file=sys.stderr)
+        return [(h, list(p) if self.tonal else [strip_tone(u) for u in p]) for h, p in corpus.pairs]
 
     def synthesize(self, units: list[str], index: int) -> EmissionMatrix:
         """The emissions of utterance ``index``, seeded by ``seed + index``."""

@@ -15,12 +15,20 @@ hypothesis is
 where the LM term conditions on the sentence-begin marker but never scores
 sentence end (the frame loop, not the LM, decides when the utterance is
 over). With an exhaustive beam and no pruning the search is exact.
+
+The beam never builds a child that cannot reach a frame's k-th best: a
+child outside the beam takes one mass, so its fused score is bounded by
+that mass plus ``lm_weight`` times the parent's LM score plus
+``NGramModel.max_score``, plus the bonus, before any LM query. The bound is
+computed with the same rounded operations as the score it bounds, ties are
+kept, and the masses that do land on kept prefixes are added in an order
+that cannot change their bits, so the pruning changes no result
+(``prefix_beam_search`` has the argument).
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -146,7 +154,8 @@ def greedy_decode(emissions: EmissionMatrix) -> list[str]:
 class DecoderConfig:
     """Beam search knobs. ``prune_threshold`` is a per-frame log10 floor;
     classes at or below it are not extended (the default skips only
-    zero-probability classes)."""
+    zero-probability classes). The weights are finite, so fused scores are
+    ordered and the beam's bound holds."""
 
     beam_width: int = 8
     lm_weight: float = 0.5
@@ -156,8 +165,12 @@ class DecoderConfig:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
-        if self.lm_weight < 0:
-            raise ValueError(f"lm_weight must be >= 0, got {self.lm_weight}")
+        if not 0 <= self.lm_weight < math.inf:   # NaN fails both comparisons
+            raise ValueError(f"lm_weight must be finite and >= 0, got {self.lm_weight}")
+        if not math.isfinite(self.insertion_bonus):
+            raise ValueError(f"insertion_bonus must be finite, got {self.insertion_bonus}")
+        if math.isnan(self.prune_threshold):
+            raise ValueError("prune_threshold must not be NaN")
 
 
 @functools.lru_cache(maxsize=8)
@@ -185,12 +198,29 @@ def prefix_beam_search(
     first; ties sort by the unit strings so output is deterministic. Each
     prefix tracks separate blank/non-blank ending masses, and extension by a
     unit adds its fused LM/bonus contribution exactly once, by one
-    ``lm.score_token`` query from the prefix's LM state.
+    ``lm.score_token`` query from the prefix's LM state. Raises ValueError
+    naming the frame when no class of a frame is above ``prune_threshold``.
+
+    Each frame runs in two passes. The first gives every kept prefix the
+    masses that land on it: its own blank, its own repeat, and its parent's
+    extension when the parent is kept too. With ``beam_width`` of them, the
+    worst of their fused scores is a floor for the frame's k-th best. A
+    child outside the beam takes exactly one mass, so its fused score is at
+    most ``value + lm_weight * (cum_parent + lm.max_score) + insertion_bonus
+    * (len + 1)``, and the second pass skips it before it is built when that
+    bound is below the floor. Skipping changes no result, bit for bit: the
+    bound is the child's own rounded sum with ``lm.max_score`` (at least every
+    ``score_token`` value as a float) for its LM term, and rounded + and * are
+    monotone; a tie is not skipped, so the label-order tie-break holds; and a
+    kept prefix's non-blank slot takes at most two masses, so the symmetric
+    ``log10addexp`` gives the same bits in either order.
     """
     labels, unit_of_class, words = _alphabet_tables(emissions.unit_labels, emissions.blank_index, lm)
     alpha = config.lm_weight if lm is not None else 0.0
     beta = config.insertion_bonus
     floor = config.prune_threshold
+    width = config.beam_width
+    max_lm = lm.max_score if lm is not None else 0.0
 
     # Beam entries: (-fused score, prefix, p_blank, p_nonblank, total mass),
     # best first; prefixes are tuples of unit numbers.
@@ -199,49 +229,71 @@ def prefix_beam_search(
     # when there is an LM.
     lm_cache: dict[tuple[int, ...], tuple[float, int]] = {(): (0.0, lm.state((BOS,)))} if lm is not None else {}
 
-    for entries in emissions.frames:
-        active = [(unit_of_class[c], score) for c, score in entries if score > floor]
-        # prefix -> [p_blank, p_nonblank]; a new entry takes its first mass
-        # as is, since log10addexp(-inf, x) is x.
-        next_beam: dict[tuple[int, ...], list[float]] = {}
-        get = next_beam.get
-        for _, prefix, p_b, p_nb, total in beam:
-            last = prefix[-1] if prefix else None
-            for unit, score in active:
-                if unit < 0 or unit == last:
-                    masses = get(prefix)
-                    if masses is None:
-                        masses = next_beam[prefix] = [NEG_INF, NEG_INF]
-                    if unit < 0:
-                        # Slot 0 takes one mass per frame: the prefix's own blank.
-                        masses[0] = total + score
-                        continue
-                    # Repeat merges unless a blank separated it.
-                    masses[1] = log10addexp(masses[1], p_nb + score)
-                    if p_b == NEG_INF:
-                        continue
-                    value = p_b + score
-                else:
-                    value = total + score
-                child = prefix + (unit,)
-                masses = get(child)
-                if masses is not None:
-                    masses[1] = log10addexp(masses[1], value)
-                    continue
-                next_beam[child] = [NEG_INF, value]
-                if lm is not None and child not in lm_cache:
-                    cum, state = lm_cache[prefix]
-                    logp, following = lm.score_token(state, words[unit])
-                    lm_cache[child] = (cum + logp, following)
+    for t, entries in enumerate(emissions.frames):
+        live = {unit_of_class[c]: score for c, score in entries if score > floor}
+        if not live:
+            raise ValueError(f"frame {t}: no class above prune_threshold {floor}")
+        blank = live.pop(-1, None)
+        # The live units, best first: a parent's extensions fall in this order.
+        ranked = sorted(live.items(), key=itemgetter(1), reverse=True)
 
+        # Pass 1: the kept prefixes, each with every mass that lands on it.
+        # A prefix gets a candidate whenever its blank or its last unit is live.
+        kept = {prefix: (p_b, total) for _, prefix, p_b, _, total in beam}
         candidates = []
-        for prefix, (p_b, p_nb) in next_beam.items():
-            # log10addexp(p_b, p_nb), with its -inf cases taken first.
-            total = p_nb if p_b == NEG_INF else p_b if p_nb == NEG_INF else log10addexp(p_b, p_nb)
+        for _, prefix, p_b, p_nb, total in beam:
+            score = live.get(prefix[-1]) if prefix else None
+            if blank is None and score is None:
+                continue
+            new_b = NEG_INF if blank is None else total + blank
+            new_nb = NEG_INF
+            if score is not None:
+                new_nb = p_nb + score   # the repeat merges unless a blank separated it
+                if (parent := kept.get(prefix[:-1])) is not None:
+                    q_b, q_total = parent
+                    if len(prefix) < 2 or prefix[-2] != prefix[-1]:
+                        new_nb = log10addexp(new_nb, q_total + score)
+                    elif q_b != NEG_INF:
+                        new_nb = log10addexp(new_nb, q_b + score)
+            # log10addexp(new_b, new_nb), with its -inf cases taken first.
+            new_total = (new_nb if new_b == NEG_INF else new_b if new_nb == NEG_INF
+                         else log10addexp(new_b, new_nb))
             cum = lm_cache[prefix][0] if lm is not None else 0.0
-            candidates.append((-(total + alpha * cum + beta * len(prefix)), prefix, p_b, p_nb, total))
+            candidates.append((-(new_total + alpha * cum + beta * len(prefix)), prefix, new_b, new_nb, new_total))
+        # Kept prefixes are at most beam_width, so with that many the worst is the floor.
+        least = -max(candidates)[0] if len(candidates) == width else NEG_INF
+
+        # Pass 2: children outside the beam, one mass each, skipped below the floor.
+        for _, prefix, p_b, _, total in beam:
+            last = prefix[-1] if prefix else None
+            cum, state = lm_cache[prefix] if lm is not None else (0.0, 0)
+            reach = alpha * (cum + max_lm)
+            bonus = beta * (len(prefix) + 1)
+            for unit, score in ranked:
+                if unit != last:
+                    value = total + score
+                    if value + reach + bonus < least:
+                        break   # the rest score lower, and a repeat's bound is no higher
+                elif p_b == NEG_INF:
+                    continue   # only the mass that ended in a blank extends into a repeat
+                else:
+                    value = p_b + score
+                    if value + reach + bonus < least:
+                        continue
+                child = prefix + (unit,)
+                if child in kept:
+                    continue   # pass 1 gave it this mass
+                if lm is not None:
+                    if (cached := lm_cache.get(child)) is None:
+                        logp, following = lm.score_token(state, words[unit])
+                        cached = lm_cache[child] = (cum + logp, following)
+                    child_cum = cached[0]
+                else:
+                    child_cum = 0.0
+                candidates.append((-(value + alpha * child_cum + bonus), child, NEG_INF, value, value))
         # Prefixes are unique, so ties on the score break by prefix alone.
-        beam = heapq.nsmallest(config.beam_width, candidates)
+        candidates.sort()
+        beam = candidates[:width]
 
     return [(tuple(labels[u] for u in prefix), -key) for key, prefix, *_ in beam]
 

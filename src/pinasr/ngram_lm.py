@@ -86,8 +86,9 @@ class NGramModel:
     tables store: every backoff key and n-gram history shorter than
     ``order``, closed under prefixes, with ``()`` as state 0. A state keeps
     its backoff weight and its parent, the longest stored proper suffix;
-    ``score_token`` is the one query. A top-order n-gram's backoff weight
-    weighs on no query and is not kept.
+    ``score_token`` is the one query, and no probability it returns exceeds
+    ``max_score``. A top-order n-gram's backoff weight weighs on no query
+    and is not kept.
     """
 
     def __init__(self, order: int, prob_table: dict[tuple[str, ...], float],
@@ -115,6 +116,14 @@ class NGramModel:
         self._prob = {ids[gram[:-1]] * size + words[gram[-1]]: p for gram, p in prob_table.items()}
         # Each state, keyed by its prefix state and last word.
         self._next = {ids[ctx[:-1]] * size + words[ctx[-1]]: i for i, ctx in enumerate(ordered) if ctx}
+        # At least every score_token probability, as a float: a query adds at
+        # most order-1 backoff weights to one stored probability, and each
+        # rounded + is monotone, so the same sum over the largest of each bounds it.
+        rise = max([0.0, *(bow for bow in self._backoff if bow is not None)])
+        penalty = 0.0
+        for _ in range(order - 1):
+            penalty += rise
+        self.max_score = penalty + max(prob_table.values())
 
     def word(self, token: str) -> int:
         """The word id of ``token``, or of ``<unk>`` for a token outside the

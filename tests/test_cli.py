@@ -292,12 +292,19 @@ def test_validate_assets_command(capsys):
         ("pipeline", "--frames-per-unit", "1"),
         ("pipeline", "--blank-fill", "0"),
         ("pipeline", "--min-len", "0"),
+        ("pipeline", "--lm-weight", "nan"),
+        ("pipeline", "--lm-weight", "inf"),
+        ("pipeline", "--insertion-bonus", "inf"),
+        ("decode", "--insertion-bonus", "nan"),
+        ("pipeline", "--prune-threshold", "nan"),
     ],
     ids=["synth-unit-mode", "synth-confusion-policy", "pipeline-unit-mode", "transcribe-unit-mode",
          "stats-unit-mode", "score-confusion-policy", "decode-unit-mode", "score-plain-confusion-policy",
          "train-lm-unit-mode", "pipeline-char-lm-order", "pipeline-lm-discount", "train-lm-char-lm-order",
          "train-lm-lm-discount", "decode-lm-discount", "pipeline-beam-width", "pipeline-lm-weight",
-         "pipeline-transcriber-beam", "pipeline-frames-per-unit", "pipeline-blank-fill", "pipeline-min-len"],
+         "pipeline-transcriber-beam", "pipeline-frames-per-unit", "pipeline-blank-fill", "pipeline-min-len",
+         "pipeline-lm-weight-nan", "pipeline-lm-weight-inf", "pipeline-insertion-bonus-inf",
+         "decode-insertion-bonus-nan", "pipeline-prune-threshold-nan"],
 )
 def test_bad_unit_mode_or_confusion_policy_exits_2_and_writes_nothing(tmp_path, small_corpus, capsys, argv):
     extra = {
@@ -364,6 +371,35 @@ def test_pipeline_stage_error_names_stage_and_utterance(tmp_path, small_corpus, 
                        "--out-dir", str(tmp_path / "out"))
     assert code == 1
     assert "stage=decode utt=0" in err
+
+
+def test_frame_with_no_live_class_fails_naming_the_frame(tmp_path, small_corpus, capsys):
+    # Every log10 probability is at most 0, so no class passes --prune-threshold 0.
+    code, out, err = run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--prune-threshold", "0",
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (1, "") and not (tmp_path / "out").exists()
+    assert err == "error: stage=decode utt=0: frame 0: no class above prune_threshold 0.0\n"
+    em_dir = tmp_path / "em"
+    assert run(capsys, "synth", "--eval-corpus", str(small_corpus), "--out-dir", str(em_dir))[0] == 0
+    code, out, err = run(capsys, "decode", "--emissions", str(em_dir), "--prune-threshold", "0")
+    assert (code, out) == (1, "")
+    assert err == f"error: {em_dir / 'utt_0000.em'}: frame 0: no class above prune_threshold 0.0\n"
+
+
+def test_pipeline_reports_dropped_sentences_on_stderr(tmp_path, capsys):
+    # Three kept sentences, a repeat, one with a character the lexicon lacks
+    # and one below min_len: the report covers the three, stderr counts the rest.
+    kept = assets.read_sentences("corpus_heldout.txt")[:3]
+    six = write_sentences(tmp_path / "six.txt", [*kept, kept[0], "龘" * 6, "短"])
+    three = write_sentences(tmp_path / "three.txt", kept)
+    code, out, err = run(capsys, "pipeline", "--eval-corpus", str(six), "--out-dir", str(tmp_path / "six"))
+    assert code == 0 and "utterances  3\n" in out
+    assert err == (f"eval corpus {six}: dropped 3 of 6 sentences: 0 without Hanzi, 1 outside the length bounds, "
+                   "1 repeated, 1 with a character the lexicon lacks\n")
+    code, _, err = run(capsys, "pipeline", "--eval-corpus", str(three), "--out-dir", str(tmp_path / "three"))
+    assert (code, err) == (0, "")
+    for name in ("hyps.tsv", "units.tsv", "detail.jsonl"):
+        assert (tmp_path / "six" / name).read_bytes() == (tmp_path / "three" / name).read_bytes(), name
 
 
 def test_train_lm_then_pipeline_and_decode_match_in_run_training(tmp_path, capsys):

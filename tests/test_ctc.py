@@ -19,6 +19,7 @@ from pinasr.ctc import (
     write_emissions,
 )
 from pinasr.ngram_lm import train
+from test_ngram_lm import arpa_model, arpa_tables
 from reference_impls import (
     garbled_text,
     InfeasibleLength,
@@ -265,27 +266,67 @@ TRIGRAM_LM = train([["a", "b", "a"], ["c", "b"], ["b", "a", "e", "a"], ["d"]], o
                    vocabulary=list("abcde"))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_beam_matches_closure_reference(fusion_lm, data):
-    # The one-pass frame step must reproduce the closure-based search it
-    # replaced bit for bit: same prefixes, same order, same float scores.
-    T, V = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
-    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
-    row = st.lists(weight, min_size=V + 1, max_size=V + 1).filter(lambda w: sum(w) > 0)
+    # The two-pass frame step, which skips children that cannot reach the
+    # k-th best, must reproduce the closure-based search that builds every
+    # child, bit for bit: same prefixes, same order, same float scores. Long
+    # utterances and wide beams keep the bound active; weights from a few
+    # levels make fused scores tie; read ARPA models have positive backoff
+    # weights, and some lack <unk>.
+    T, V = data.draw(st.integers(1, 14)), data.draw(st.integers(1, 5))
+    level = data.draw(st.sampled_from([st.floats(1e-6, 1.0), st.sampled_from([1.0, 2.0, 4.0])]))
+    row = st.lists(st.just(0.0) | level, min_size=V + 1, max_size=V + 1).filter(lambda w: sum(w) > 0)
     weights = np.array(data.draw(st.lists(row, min_size=T, max_size=T)))
     with np.errstate(divide="ignore"):
         grid = np.log10(weights / weights.sum(axis=1, keepdims=True))
     labels = tuple(data.draw(st.permutations("abcde"))[:V])  # class order differs from label order
     e = dense_emissions(grid, labels, blank_index=data.draw(st.integers(0, V)))
-    lm = data.draw(st.sampled_from([None, fusion_lm, TRIGRAM_LM]))
+    lm = data.draw(st.sampled_from([None, fusion_lm, TRIGRAM_LM]) | arpa_tables(tuple("abcde")).map(arpa_model))
     config = DecoderConfig(
-        beam_width=data.draw(st.integers(1, 4)),
+        beam_width=data.draw(st.integers(1, 6)),
         lm_weight=data.draw(st.sampled_from([0.0, 0.3, 1.7])),
         insertion_bonus=data.draw(st.sampled_from([0.0, 0.25, -0.6])),
         prune_threshold=data.draw(st.sampled_from([NEG_INF, -3.0, -1.0, -0.4])),
     )
-    assert prefix_beam_search(e, lm, config) == closure_prefix_beam_search(e, lm, config)
+    want = closure_prefix_beam_search(e, lm, config)
+    if want:
+        assert prefix_beam_search(e, lm, config) == want
+    else:   # the reference empties its beam at a frame with no class above the threshold
+        with pytest.raises(ValueError, match="no class above prune_threshold"):
+            prefix_beam_search(e, lm, config)
+
+
+def test_beam_keeps_children_that_tie_the_floor():
+    # Two frames split evenly between a and b, with no blank: the kept (a)
+    # and (b) and the new (a, b) and (b, a) all score log10(0.25) exactly,
+    # so the new children tie the floor, and (a, b) wins second place by
+    # label order. Skipping ties would return (b) there.
+    half = math.log10(0.5)
+    e = dense_emissions([[half, half, NEG_INF]] * 2, ("a", "b"), blank_index=2)
+    config = DecoderConfig(beam_width=2)
+    assert prefix_beam_search(e, None, config) == [(("a",), 2 * half), (("a", "b"), 2 * half)]
+    assert prefix_beam_search(e, None, config) == closure_prefix_beam_search(e, None, config)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lm_weight", math.nan), ("lm_weight", math.inf), ("insertion_bonus", math.nan),
+    ("insertion_bonus", math.inf), ("insertion_bonus", -math.inf), ("prune_threshold", math.nan),
+])
+def test_decoder_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        DecoderConfig(**{field: value})
+
+
+def test_frame_with_no_live_class_raises_naming_the_frame():
+    # Frame 1 splits its mass evenly, so a floor of -0.1 leaves it no class.
+    grid = np.full((3, 3), NEG_INF)
+    grid[0, 0] = grid[2, 2] = 0.0
+    grid[1, 0] = grid[1, 1] = math.log10(0.5)
+    e = dense_emissions(grid, ("a", "b"), blank_index=2)
+    with pytest.raises(ValueError, match=r"^frame 1: no class above prune_threshold -0\.1$"):
+        prefix_beam_search(e, None, DecoderConfig(prune_threshold=-0.1))
 
 
 def test_vocabulary_mismatch_raised(fusion_lm):

@@ -325,12 +325,13 @@ def trained_models(draw):
 
 
 @st.composite
-def arpa_tables(draw):
+def arpa_tables(draw, tokens=MODEL_TOKENS):
     """(order, n-gram log10 probabilities, backoff weights) over a vocabulary
-    of unigrams, with arbitrary n-grams and weights, so histories may lack
-    their prefixes and stored contexts their backoff weights."""
+    of unigrams, ``tokens`` and the markers, with arbitrary n-grams and
+    weights (positive backoff weights too), so histories may lack their
+    prefixes and stored contexts their backoff weights."""
     order = draw(st.integers(1, 4))
-    vocabulary = [*MODEL_TOKENS, BOS, EOS] + ([UNK] if draw(st.booleans()) else [])
+    vocabulary = [*tokens, BOS, EOS] + ([UNK] if draw(st.booleans()) else [])
     grams = [(t,) for t in vocabulary]
     if order > 1:
         grams += draw(st.lists(
@@ -426,6 +427,16 @@ def test_write_arpa_returns_the_count_of_each_order(model):
     grams = model.prob_table
     assert counts == [sum(len(gram) == k for gram in grams) for k in range(1, model.order + 1)]
     assert buf.getvalue().splitlines()[1:model.order + 1] == [f"ngram {k}={n}" for k, n in enumerate(counts, 1)]
+
+
+@given(LM_MODELS)
+@settings(max_examples=150, deadline=None)
+def test_max_score_bounds_every_query(model):
+    # The beam's pruning bound rests on this, as floats, positive backoff weights included.
+    words = range(len(model.vocabulary))
+    for state in range(len(model.state_contexts())):
+        for word in words:
+            assert model.score_token(state, word)[0] <= model.max_score
 
 
 def test_state_closes_missing_prefixes():
