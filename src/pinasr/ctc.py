@@ -17,9 +17,9 @@ sentence end (the frame loop, not the LM, decides when the utterance is
 over). With an exhaustive beam and no pruning the search is exact.
 
 The beam never builds a child that cannot reach a frame's k-th best: a
-child outside the beam takes one mass, so its fused score is bounded by
-that mass plus ``lm_weight`` times the parent's LM score plus
-``NGramModel.max_score``, plus the bonus, before any LM query. The bound is
+child outside the beam takes one mass, so before any LM query its fused
+score is bounded by that mass plus ``lm_weight * (the parent's LM score +
+NGramModel.max_score)`` plus the bonus. The bound is
 computed with the same rounded operations as the score it bounds, ties are
 kept, and the masses that do land on kept prefixes are added in an order
 that cannot change their bits, so the pruning changes no result
@@ -218,7 +218,7 @@ def prefix_beam_search(
     labels, unit_of_class, words = _alphabet_tables(emissions.unit_labels, emissions.blank_index, lm)
     alpha = config.lm_weight if lm is not None else 0.0
     beta = config.insertion_bonus
-    floor = config.prune_threshold
+    prune_threshold = config.prune_threshold
     width = config.beam_width
     max_lm = lm.max_score if lm is not None else 0.0
 
@@ -230,9 +230,9 @@ def prefix_beam_search(
     lm_cache: dict[tuple[int, ...], tuple[float, int]] = {(): (0.0, lm.state((BOS,)))} if lm is not None else {}
 
     for t, entries in enumerate(emissions.frames):
-        live = {unit_of_class[c]: score for c, score in entries if score > floor}
+        live = {unit_of_class[c]: score for c, score in entries if score > prune_threshold}
         if not live:
-            raise ValueError(f"frame {t}: no class above prune_threshold {floor}")
+            raise ValueError(f"frame {t}: no class above prune_threshold {prune_threshold}")
         blank = live.pop(-1, None)
         # The live units, best first: a parent's extensions fall in this order.
         ranked = sorted(live.items(), key=itemgetter(1), reverse=True)

@@ -359,8 +359,10 @@ def closure_prefix_beam_search(emissions, lm, config=DecoderConfig()):
     """Prefix beam search as the library wrote it before its one-pass frame
     step: every mass goes through a ``bump`` closure and ``log10addexp``,
     the LM bookkeeping runs with or without an LM, and the ranking key
-    recomputes each candidate's fused score. Same contract and output as
-    ``pinasr.ctc.prefix_beam_search``, which must match it exactly."""
+    recomputes each candidate's fused score, and every child is built.
+    Same contract and output as ``pinasr.ctc.prefix_beam_search``, which must
+    match it exactly, except that a frame with no class above the threshold
+    empties the beam here (the result is ``[]``) where the library raises."""
     if lm is not None:
         missing = [u for u in emissions.unit_labels if u not in lm.vocabulary]
         if missing:
