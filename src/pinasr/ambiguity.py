@@ -19,7 +19,6 @@ from .pinyin import strip_tone
 @dataclass(frozen=True)
 class MappingStats:
     n: int
-    tonal: bool
     num_keys: int
     average: float
     maximum: int
@@ -31,8 +30,6 @@ def mapping_stats(corpus: ParallelCorpus, n: int, tonal: bool = True) -> Mapping
     the distinct-realization counts."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not corpus.pairs:
-        raise EmptyCorpus("mapping_stats of an empty corpus")
     realizations: dict[tuple[str, ...], set[str]] = {}
     for hanzi, pinyin in corpus.pairs:
         units = pinyin if tonal else [strip_tone(u) for u in pinyin]
@@ -40,11 +37,10 @@ def mapping_stats(corpus: ParallelCorpus, n: int, tonal: bool = True) -> Mapping
             key = tuple(units[i:i + n])
             realizations.setdefault(key, set()).add(hanzi[i:i + n])
     if not realizations:
-        raise EmptyCorpus(f"no length-{n} windows in corpus {corpus.source_tag!r}")
+        raise EmptyCorpus(f"no length-{n} windows in corpus")
     sizes = [len(v) for v in realizations.values()]
     return MappingStats(
         n=n,
-        tonal=tonal,
         num_keys=len(sizes),
         average=sum(sizes) / len(sizes),
         maximum=max(sizes),

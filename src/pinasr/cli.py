@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import ambiguity, assets, metrics, ngram_lm, transcriber
-from .corpus import EmptyCorpus, build_parallel, check_length_bounds, filter_sentences, read_parallel_tsv
+from .corpus import FilterResult, build_parallel, check_length_bounds, filter_sentences, read_parallel_tsv
 from .ctc import DecoderConfig, EmissionMatrix, prefix_beam_search, read_emissions, write_emissions
 from .ngram_lm import NGramModel
 from .pinyin import PronunciationLexicon, SyllableInventory, strip_tone
@@ -132,19 +132,26 @@ def _existing(path: str) -> Path:
     return p
 
 
-def _read_lines(path: str, default_sentences: str = "") -> list[str]:
-    """The non-blank lines of ``path``, or with no path of bundled ``default_sentences``."""
-    if default_sentences and not path:
-        return assets.read_sentences(default_sentences)
+def _read_lines(path: str, bundled: str) -> list[str]:
+    """The non-blank lines of ``path``, or with no path of the bundled file ``bundled``."""
+    if not path:
+        return assets.read_sentences(bundled)
     return [line for line in _existing(path).read_text(encoding="utf-8").splitlines() if line.strip()]
 
 
 def _read_arpa(path: str) -> NGramModel:
-    with open(_existing(path), encoding="utf-8") as fh:
-        try:
-            return ngram_lm.read_arpa(fh)
-        except ValueError as exc:   # MalformedArpa, or text that is not UTF-8
-            raise ngram_lm.MalformedArpa(f"{path}: {exc}") from exc
+    with open(_existing(path), encoding="utf-8") as fh, _naming(path):   # MalformedArpa, or text that is not UTF-8
+        return ngram_lm.read_arpa(fh)
+
+
+def _report_dropped(name: str, source, lines: list[str], sentences, corpus) -> None:
+    """Count on stderr, in one line, the ``lines`` of ``source`` that did not reach
+    ``corpus``, by the FilterResult ``sentences`` and ParallelCorpus ``corpus``."""
+    if dropped := len(lines) - len(corpus):
+        print(f"{name} corpus {source}: dropped {dropped} of {len(lines)} sentences: "
+              f"{sentences.malformed} without Hanzi, {sentences.out_of_bounds} outside the length bounds, "
+              f"{sentences.duplicates} repeated, {corpus.skipped} with a character the lexicon lacks",
+              file=sys.stderr)
 
 
 def decoder_config(config: PipelineConfig) -> DecoderConfig:
@@ -210,12 +217,8 @@ class Pipeline:
         c = self.config
         lines = _read_lines(path, default_name)
         sentences = filter_sentences(lines, c.min_len, c.max_len)
-        corpus = build_parallel(sentences.sentences, self.lexicon, name)
-        if dropped := len(lines) - len(corpus):
-            print(f"{name} corpus {path or default_name}: dropped {dropped} of {len(lines)} sentences: "
-                  f"{sentences.malformed} without Hanzi, {sentences.out_of_bounds} outside the length bounds, "
-                  f"{sentences.duplicates} repeated, {corpus.skipped} with a character the lexicon lacks",
-                  file=sys.stderr)
+        corpus = build_parallel(sentences.sentences, self.lexicon)
+        _report_dropped(name, path or default_name, lines, sentences, corpus)
         return [(h, list(p) if self.tonal else [strip_tone(u) for u in p]) for h, p in corpus.pairs]
 
     def synthesize(self, units: list[str], index: int) -> EmissionMatrix:
@@ -340,7 +343,7 @@ def write_report(config: PipelineConfig, result: PipelineResult) -> list[str]:
     return lines
 
 
-def cmd_pipeline(config: PipelineConfig) -> int:
+def cmd_pipeline(args, config: PipelineConfig) -> int:
     for line in write_report(config, run_pipeline(config)):
         print(line.replace("\t", "  "))
     return 0
@@ -408,12 +411,17 @@ def cmd_transcribe(args, config: PipelineConfig) -> int:
 
 def cmd_stats(args, config: PipelineConfig) -> int:
     pipe = Pipeline(config)
-    if args.parallel:
-        with open(_existing(args.parallel), encoding="utf-8") as fh:
-            corpus = read_parallel_tsv(fh, pipe.inventory)
-    else:
-        corpus = build_parallel(_read_lines(args.corpus, "corpus_toy20.txt"), pipe.lexicon, "stats")
-    report = ambiguity.stats_report(corpus, args.n_max)
+    source = args.parallel or args.corpus
+    name = _existing(source) if source else "corpus_toy20.txt"   # a missing file: ConfigError, exit 2
+    with _naming(name):
+        if args.parallel:
+            with open(args.parallel, encoding="utf-8") as fh:
+                corpus = read_parallel_tsv(fh, pipe.inventory)
+        else:
+            lines = _read_lines(args.corpus, "corpus_toy20.txt")
+            corpus = build_parallel(lines, pipe.lexicon)
+            _report_dropped("stats", name, lines, FilterResult(lines), corpus)   # stats filters nothing
+        report = ambiguity.stats_report(corpus, args.n_max)
     print(ambiguity.render_tsv(report), end="")
     print()
     print(ambiguity.render_table(report), end="")
@@ -433,20 +441,20 @@ def cmd_score(args, config: PipelineConfig) -> int:
         stripped = metrics.tone_stripped_rescore(refs, hyps, inventory)
         metrics.write_report_tsv(stripped, sys.stdout, label="tone_stripped")
     if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
+        with atomic_open(Path(args.jsonl)) as fh:
             metrics.write_report_jsonl(report, fh)
     return 0
 
 
-def cmd_validate_assets() -> int:
+def cmd_validate_assets(args, config: PipelineConfig) -> int:
     report = assets.validate_assets()
     print(report.render(), end="")
     return 0 if report.ok else 1
 
 
 COMMANDS = {
-    "synth": cmd_synth, "train-lm": cmd_train_lm, "decode": cmd_decode,
-    "transcribe": cmd_transcribe, "stats": cmd_stats, "score": cmd_score,
+    "pipeline": cmd_pipeline, "synth": cmd_synth, "train-lm": cmd_train_lm, "decode": cmd_decode,
+    "transcribe": cmd_transcribe, "stats": cmd_stats, "score": cmd_score, "validate-assets": cmd_validate_assets,
 }
 
 
@@ -515,17 +523,13 @@ def make_config(args) -> PipelineConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate-assets":
-            return cmd_validate_assets()
         config = make_config(args)
         check_config(config)
-        if args.command == "pipeline":
-            return cmd_pipeline(config)
         return COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EmptyCorpus, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

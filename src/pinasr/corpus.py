@@ -80,7 +80,6 @@ class ParallelCorpus:
     equals the character count."""
 
     pairs: list[tuple[str, tuple[str, ...]]]
-    source_tag: str = "inline"
     skipped: int = 0
 
     def __len__(self) -> int:
@@ -90,7 +89,6 @@ class ParallelCorpus:
 def build_parallel(
     sentences: Sequence[str],
     lexicon: PronunciationLexicon,
-    source_tag: str = "inline",
 ) -> ParallelCorpus:
     """Pair each sentence with its pinyin; uncovered sentences are skipped
     and counted, never partially converted."""
@@ -103,10 +101,10 @@ def build_parallel(
             skipped += 1
             continue
         pairs.append((sentence, pinyin))
-    return ParallelCorpus(pairs=pairs, source_tag=source_tag, skipped=skipped)
+    return ParallelCorpus(pairs=pairs, skipped=skipped)
 
 
-def read_parallel_tsv(source, inventory: SyllableInventory, source_tag: str = "tsv") -> ParallelCorpus:
+def read_parallel_tsv(source, inventory: SyllableInventory) -> ParallelCorpus:
     """Read ``hanzi<TAB>space-joined-pinyin`` lines; validates unit
     membership and the length-equality invariant. Every error names its line
     and is a ValueError (InvalidSyllable or InvalidTone for a bad unit)."""
@@ -128,4 +126,4 @@ def read_parallel_tsv(source, inventory: SyllableInventory, source_tag: str = "t
                 f"line {lineno}: {len(pinyin)} pinyin units vs {len(hanzi)} characters"
             )
         pairs.append((hanzi, pinyin))
-    return ParallelCorpus(pairs=pairs, source_tag=source_tag)
+    return ParallelCorpus(pairs=pairs)

@@ -133,17 +133,14 @@ class NGramModel:
         return word
 
     def state(self, context: Sequence[str]) -> int:
-        """The state of ``context``: its last order-1 tokens, mapped as
-        ``word`` maps them, then the longest of their suffixes that is stored.
-        A context that is not stored has no n-gram and no backoff weight, so
-        two contexts with one state score every continuation alike."""
-        size, follow, parent = self._num_words, self._next, self._parent
+        """The state of ``context``: ``score_token``'s next state folded from
+        state 0 over its last order-1 tokens (mapped as ``word`` maps them),
+        so the longest of their suffixes that is stored. A context that is not
+        stored has no n-gram and no backoff weight, so two contexts with one
+        state score every continuation alike."""
         state = 0
         for token in context[max(0, len(context) - self.order + 1):]:
-            word = self.word(token)
-            while (following := follow.get(state * size + word)) is None and state:
-                state = parent[state]
-            state = following or 0
+            state = self.score_token(state, self.word(token))[1]
         return state
 
     def score_token(self, state: int, word: int) -> tuple[float, int]:
@@ -152,7 +149,7 @@ class NGramModel:
         The probability is longest-match backoff: from ``state`` through its
         parents, adding each backoff weight passed, to the first that stores
         an n-gram ending in ``word``. The next state is ``state``'s tokens
-        plus ``word``, stripped as ``state`` strips a context: through the
+        plus ``word``, stripped to their longest stored suffix: through the
         parents to the first with a transition on ``word``, else state 0.
         """
         size, prob, follow, backoff, parent = self._num_words, self._prob, self._next, self._backoff, self._parent

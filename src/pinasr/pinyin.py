@@ -106,7 +106,7 @@ class SyllableInventory:
                 if not _TONAL_RE.match(line):
                     raise InvalidSyllable(f"{path}:{lineno}: malformed tonal unit {line!r}")
                 units.append(line)
-        return cls.from_units(units, version=version)
+        return cls(tonal_units=frozenset(units), version=version)
 
 
 def parse_syllable(text: str, inventory: SyllableInventory) -> str:

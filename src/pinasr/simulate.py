@@ -81,11 +81,8 @@ def confusion_map(alphabet: tuple[str, ...], policy: str) -> dict[str, tuple[int
 
 @lru_cache(maxsize=8)
 def _alphabet_index(alphabet: tuple[str, ...]) -> dict[str, int]:
-    """Label -> class index, shared by every call (read only); ValueError for a repeated label."""
-    index = {label: i for i, label in enumerate(alphabet)}
-    if len(index) != len(alphabet):
-        raise ValueError("alphabet contains duplicate labels")
-    return index
+    """Label -> class index, shared by every call (read only); EmissionMatrix rejects a repeated label."""
+    return {label: i for i, label in enumerate(alphabet)}
 
 
 def synth_emissions(

@@ -163,7 +163,7 @@ def test_criterion_6_ambiguity_stats_oracle():
     from reference_impls import naive_mapping_recount
 
     toy = build_parallel(
-        assets.read_sentences("corpus_toy20.txt"), assets.default_lexicon(), "toy20"
+        assets.read_sentences("corpus_toy20.txt"), assets.default_lexicon()
     )
     for n in range(1, 7):
         tonal = mapping_stats(toy, n, tonal=True)
@@ -186,7 +186,7 @@ def test_criterion_7_end_to_end_losslessness(tmp_path):
         out_dir=str(tmp_path / "clean"),
     )
     config.eval_corpus = str(assets.data_path("corpus_train.txt"))
-    assert cmd_pipeline(config) == 0
+    assert cmd_pipeline(None, config) == 0
     report = dict(
         line.split("\t")
         for line in (tmp_path / "clean" / "report.tsv").read_text().splitlines()
@@ -215,7 +215,7 @@ def test_criterion_8_directional_lm_benefit(tmp_path):
             seed=pins["seed"],
             out_dir=str(tmp_path / tag),
         )
-        assert cmd_pipeline(config) == 0
+        assert cmd_pipeline(None, config) == 0
         report = dict(
             line.split("\t")
             for line in (tmp_path / tag / "report.tsv").read_text().splitlines()

@@ -14,7 +14,7 @@ PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_te
 
 @pytest.fixture(scope="module")
 def toy20():
-    return build_parallel(assets.read_sentences("corpus_toy20.txt"), assets.default_lexicon(), "toy20")
+    return build_parallel(assets.read_sentences("corpus_toy20.txt"), assets.default_lexicon())
 
 
 def random_corpus(rng, lexicon, max_sentences=40):
@@ -23,7 +23,7 @@ def random_corpus(rng, lexicon, max_sentences=40):
         "".join(rng.choice(chars) for _ in range(rng.randint(1, 12)))
         for _ in range(rng.randint(1, max_sentences))
     ]
-    return build_parallel(sentences, lexicon, "random")
+    return build_parallel(sentences, lexicon)
 
 
 def test_single_sentence_all_unique():
@@ -37,7 +37,7 @@ def test_single_sentence_all_unique():
 
 def test_empty_corpus_errors():
     with pytest.raises(EmptyCorpus):
-        mapping_stats(ParallelCorpus(pairs=[], source_tag="x"), 1)
+        mapping_stats(ParallelCorpus(pairs=[]), 1)
 
 
 def test_window_longer_than_sentences_errors():

@@ -109,4 +109,35 @@ def test_removed_tone_is_detected(tmp_path, monkeypatch):
     check = next(c for c in report.checks if c.name == "tones-complete")
     assert not check.ok
     assert dropped in check.detail
-    assert "lexicon-closure" not in {c.name for c in report.checks if not c.ok}
+    assert "load" not in {c.name for c in report.checks}   # the inventory and lexicon loaded
+
+
+def test_lexicon_reading_outside_inventory_fails_load(tmp_path, monkeypatch):
+    data_dir = Path(assets.data_path("manifest.tsv")).parent
+    workdir = tmp_path / "data"
+    shutil.copytree(data_dir, workdir)
+    lexicon = workdir / "lexicon.tsv"
+    lines = lexicon.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.strip() and not line.startswith("#"))
+    char, _, weight = lines[lineno - 1].split("\t")
+    lines[lineno - 1] = f"{char}\tzzz1\t{weight}"
+    lexicon.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def fake_data_path(name):
+        path = workdir / name
+        if not path.exists():
+            raise FileNotFoundError(f"bundled data file missing: {path}")
+        return path
+
+    monkeypatch.setattr(assets, "data_path", fake_data_path)
+    assets.default_inventory.cache_clear()
+    assets.default_lexicon.cache_clear()
+    try:
+        report = validate_assets()
+    finally:
+        assets.default_inventory.cache_clear()
+        assets.default_lexicon.cache_clear()
+    assert not report.ok
+    load = next(c for c in report.checks if c.name == "load")
+    assert not load.ok
+    assert f"lexicon.tsv:{lineno}: " in load.detail and "'zzz1'" in load.detail

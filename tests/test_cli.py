@@ -263,6 +263,28 @@ def test_stats_monotone_columns(capsys):
         assert float(fields[6]) <= float(fields[3])   # toneless unique <= tonal
 
 
+def test_stats_parallel_error_names_its_file(tmp_path, capsys):
+    bad = write_sentences(tmp_path / "bad.tsv", ["中国\tzhong1"])
+    assert run(capsys, "stats", "--parallel", str(bad)) == (
+        1, "", f"error: {bad}: line 1: 1 pinyin units vs 2 characters\n")
+
+
+def test_stats_no_windows_error_names_its_file(tmp_path, capsys):
+    short = write_sentences(tmp_path / "short.txt", ["中国", "你好"])
+    assert run(capsys, "stats", "--corpus", str(short), "--n-max", "3") == (
+        1, "", f"error: {short}: no length-3 windows in corpus\n")
+
+
+def test_stats_reports_dropped_sentences_on_stderr(tmp_path, capsys):
+    three = write_sentences(tmp_path / "three.txt", ["你好世界", "龘龘龘", "中国人民"])
+    two = write_sentences(tmp_path / "two.txt", ["你好世界", "中国人民"])
+    code, out, err = run(capsys, "stats", "--corpus", str(three), "--n-max", "2")
+    assert code == 0
+    assert err == (f"stats corpus {three}: dropped 1 of 3 sentences: 0 without Hanzi, 0 outside the length bounds, "
+                   "0 repeated, 1 with a character the lexicon lacks\n")
+    assert run(capsys, "stats", "--corpus", str(two), "--n-max", "2") == (0, out, "")
+
+
 def test_validate_assets_command(capsys):
     code, out, _ = run(capsys, "validate-assets")
     assert code == 0

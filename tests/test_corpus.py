@@ -82,7 +82,7 @@ def test_length_equality_invariant(lexicon):
 
 
 def test_parallel_tsv_round_trip(lexicon):
-    corpus = build_parallel(["中国", "他说明天早上要去学校"], lexicon, source_tag="rt")
+    corpus = build_parallel(["中国", "他说明天早上要去学校"], lexicon)
     buf = io.StringIO()
     write_parallel_tsv(corpus, buf)
     back = read_parallel_tsv(io.StringIO(buf.getvalue()), assets.default_inventory())

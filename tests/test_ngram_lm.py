@@ -166,12 +166,12 @@ def test_perplexity_improves_as_data_doubles():
 
     lexicon = assets.default_lexicon()
     vocabulary = sorted(assets.default_inventory().tonal_units)
-    heldout = build_parallel(assets.read_sentences("corpus_heldout.txt"), lexicon, "h")
+    heldout = build_parallel(assets.read_sentences("corpus_heldout.txt"), lexicon)
     heldout_tokens = [list(py) for _, py in heldout.pairs]
     sentences = assets.read_sentences("corpus_train.txt")
     perplexities = []
     for size in (25, 50, 100, 200):
-        pairs = build_parallel(sentences[:size], lexicon, "t")
+        pairs = build_parallel(sentences[:size], lexicon)
         corpus = [list(py) for _, py in pairs.pairs]
         model = train(corpus, order=3, discount=0.6, vocabulary=vocabulary)
         perplexities.append(perplexity(model, heldout_tokens))

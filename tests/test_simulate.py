@@ -77,7 +77,7 @@ def test_unknown_unit_rejected():
 
 
 def test_duplicate_alphabet_label_rejected_on_every_call():
-    # The label index is cached per alphabet; a failed check caches nothing.
+    # EmissionMatrix rejects the repeated label, before and after the label index is cached.
     for _ in range(2):
         with pytest.raises(ValueError, match="duplicate"):
             synth_emissions(["ma1"], ("ma1", "gu1", "ma1"), SimConfig())
@@ -152,7 +152,7 @@ def test_greedy_exact_below_pinned_temperature():
     inventory = assets.default_inventory()
     alphabet = tuple(sorted(inventory.tonal_units))
     pairs = build_parallel(
-        assets.read_sentences("corpus_heldout.txt"), assets.default_lexicon(), "heldout"
+        assets.read_sentences("corpus_heldout.txt"), assets.default_lexicon()
     )
     for index, (_, pinyin) in enumerate(pairs.pairs):
         units = list(pinyin)
