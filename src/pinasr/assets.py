@@ -54,16 +54,20 @@ class ManifestEntry:
     count: int
 
 
-def read_manifest(path: Path | None = None) -> list[ManifestEntry]:
-    path = path or data_path("manifest.tsv")
+def read_manifest() -> list[ManifestEntry]:
+    path = data_path("manifest.tsv")
     entries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        entries.append(ManifestEntry(path=fields[0], sha256=fields[1], count=int(fields[2])))
+        try:
+            count = int(fields[2])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad count {fields[2]!r}") from None
+        entries.append(ManifestEntry(path=fields[0], sha256=fields[1], count=count))
     return entries
 
 
@@ -92,9 +96,9 @@ def _record_count(path: Path) -> int:
     return len(lines)
 
 
-def validate_assets(manifest_path: Path | None = None) -> ValidationReport:
+def validate_assets() -> ValidationReport:
     checks: list[Check] = []
-    entries = read_manifest(manifest_path)
+    entries = read_manifest()
 
     for entry in entries:
         try:

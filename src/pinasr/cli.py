@@ -1,8 +1,8 @@
 """Command-line front end: the full recognition→transcription pipeline and
 each stage as its own subcommand.
 
-Every stage-running command goes through one core: :class:`Pipeline` checks the
-config, loads assets and fixes the unit alphabet once; :func:`run_pipeline` runs the stages.
+Every stage-running command goes through one core: :class:`PipelineConfig` checks itself,
+:class:`Pipeline` loads assets and fixes the unit alphabet once; :func:`run_pipeline` runs the stages.
 
 Configuration is a flat ``key=value`` text file; every key can also be set
 on the command line (``--beam-width 16`` overrides ``beam_width=8``). All
@@ -35,7 +35,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     inventory: str = ""          # empty -> bundled data file
     lexicon: str = ""
@@ -65,11 +65,33 @@ class PipelineConfig:
     max_len: int = 40
     seed: int = 0
 
+    def __post_init__(self):
+        """Raise ConfigError for a ``unit_mode`` outside its choices, an LM order
+        outside [1, MAX_ORDER], an ``lm_discount`` outside (0, 1), a ``transcriber_beam``
+        below 1, or a setting that DecoderConfig, SimConfig (``confusion_policy`` and
+        ``seed`` among them) or ``check_length_bounds`` (``min_len``, ``max_len``) rejects,
+        so every command has a checked config before it loads or writes anything."""
+        if self.unit_mode not in ("tonal", "toneless"):
+            raise ConfigError(f"unit_mode must be tonal or toneless, got {self.unit_mode!r}")
+        for key in ("pinyin_lm_order", "char_lm_order"):
+            if not 1 <= getattr(self, key) <= ngram_lm.MAX_ORDER:
+                raise ConfigError(f"{key} must be in [1, {ngram_lm.MAX_ORDER}], got {getattr(self, key)}")
+        if not 0.0 < self.lm_discount < 1.0:
+            raise ConfigError(f"lm_discount must be in (0, 1), got {self.lm_discount}")
+        if self.transcriber_beam < 1:
+            raise ConfigError(f"transcriber_beam must be >= 1, got {self.transcriber_beam}")
+        try:
+            decoder_config(self)
+            sim_config(self)
+            check_length_bounds(self.min_len, self.max_len)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
 
 def parse_config_file(path: str) -> dict:
     values = {}
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -132,11 +154,18 @@ def _existing(path: str) -> Path:
     return p
 
 
+def _read_text(path) -> str:
+    """The text of the UTF-8 file ``path``: a ConfigError if it is missing, a ValueError naming it if not UTF-8."""
+    p = _existing(path)
+    with _naming(p):
+        return p.read_text(encoding="utf-8")
+
+
 def _read_lines(path: str, bundled: str) -> list[str]:
     """The non-blank lines of ``path``, or with no path of the bundled file ``bundled``."""
     if not path:
         return assets.read_sentences(bundled)
-    return [line for line in _existing(path).read_text(encoding="utf-8").splitlines() if line.strip()]
+    return [line for line in _read_text(path).splitlines() if line.strip()]
 
 
 def _read_arpa(path: str) -> NGramModel:
@@ -171,35 +200,11 @@ def sim_config(config: PipelineConfig, index: int = 0) -> SimConfig:
                      seed=config.seed + index)
 
 
-def check_config(config: PipelineConfig) -> None:
-    """Raise ConfigError for a ``unit_mode`` outside its choices, an LM order
-    outside [1, MAX_ORDER], an ``lm_discount`` outside (0, 1), a
-    ``transcriber_beam`` below 1, or a setting that DecoderConfig, SimConfig
-    (``confusion_policy`` among them) or ``check_length_bounds`` (``min_len``,
-    ``max_len``) rejects; every command runs this before it loads or writes anything."""
-    if config.unit_mode not in ("tonal", "toneless"):
-        raise ConfigError(f"unit_mode must be tonal or toneless, got {config.unit_mode!r}")
-    for key in ("pinyin_lm_order", "char_lm_order"):
-        if not 1 <= getattr(config, key) <= ngram_lm.MAX_ORDER:
-            raise ConfigError(f"{key} must be in [1, {ngram_lm.MAX_ORDER}], got {getattr(config, key)}")
-    if not 0.0 < config.lm_discount < 1.0:
-        raise ConfigError(f"lm_discount must be in (0, 1), got {config.lm_discount}")
-    if config.transcriber_beam < 1:
-        raise ConfigError(f"transcriber_beam must be >= 1, got {config.transcriber_beam}")
-    try:
-        decoder_config(config)
-        sim_config(config)
-        check_length_bounds(config.min_len, config.max_len)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 class Pipeline:
-    """One configuration's stages: the config is checked, the assets loaded
-    and the unit alphabet fixed once, then used for every utterance."""
+    """One configuration's stages: the assets are loaded and the unit alphabet
+    fixed once, then used for every utterance."""
 
     def __init__(self, config: PipelineConfig):
-        check_config(config)
         self.config = config
         self.tonal = config.unit_mode == "tonal"
         self.inventory = (SyllableInventory.from_file(_existing(config.inventory)) if config.inventory
@@ -270,7 +275,7 @@ def _check_refs(path: Path, utterances) -> None:
     so ingested emissions are scored against their own references."""
     if not path.exists():
         raise ValueError(f"{path}: not found; --emissions-dir needs the refs.tsv that synth writes")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     want = _ref_lines(utterances)
     for lineno, (line, ref) in enumerate(zip(lines, want), 1):
         if line != ref:
@@ -400,7 +405,7 @@ def cmd_transcribe(args, config: PipelineConfig) -> int:
     if not config.char_lm:
         raise ConfigError("transcribe needs --char-lm (an ARPA character LM)")
     char_lm = _read_arpa(config.char_lm)
-    for lineno, line in enumerate(_existing(args.input).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(args.input).splitlines(), 1):
         if not line.strip():
             continue
         with _naming(f"{args.input}:{lineno}"):   # NoCandidate, or OutOfVocabulary without <unk>
@@ -413,14 +418,14 @@ def cmd_stats(args, config: PipelineConfig) -> int:
     pipe = Pipeline(config)
     source = args.parallel or args.corpus
     name = _existing(source) if source else "corpus_toy20.txt"   # a missing file: ConfigError, exit 2
+    if args.parallel:
+        with open(args.parallel, encoding="utf-8") as fh, _naming(name):
+            corpus = read_parallel_tsv(fh, pipe.inventory)
+    else:
+        lines = _read_lines(args.corpus, "corpus_toy20.txt")   # names its file
+        corpus = build_parallel(lines, pipe.lexicon)
+        _report_dropped("stats", name, lines, FilterResult(lines), corpus)   # stats filters nothing
     with _naming(name):
-        if args.parallel:
-            with open(args.parallel, encoding="utf-8") as fh:
-                corpus = read_parallel_tsv(fh, pipe.inventory)
-        else:
-            lines = _read_lines(args.corpus, "corpus_toy20.txt")
-            corpus = build_parallel(lines, pipe.lexicon)
-            _report_dropped("stats", name, lines, FilterResult(lines), corpus)   # stats filters nothing
         report = ambiguity.stats_report(corpus, args.n_max)
     print(ambiguity.render_tsv(report), end="")
     print()
@@ -430,7 +435,7 @@ def cmd_stats(args, config: PipelineConfig) -> int:
 
 def cmd_score(args, config: PipelineConfig) -> int:
     def read_tokens(path):
-        lines = _existing(path).read_text(encoding="utf-8").splitlines()
+        lines = _read_text(path).splitlines()
         return [list(l) if args.chars else l.split() for l in lines]
 
     inventory = Pipeline(config).inventory if args.tone_stripped else None
@@ -524,7 +529,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = make_config(args)
-        check_config(config)
         return COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -49,6 +49,15 @@ ONSETS = (
 _TONAL_RE = re.compile(r"^[a-z]+[1-5]$")
 
 
+def _numbered_lines(path):
+    """(line number, line) of the UTF-8 file ``path``; text that is not UTF-8 raises ValueError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def strip_tone(unit: str) -> str:
     """The toneless unit: ``unit`` without its tone digit, if it has one."""
     return unit[:-1] if unit[-1:].isdigit() else unit
@@ -81,31 +90,22 @@ class SyllableInventory:
         return frozenset(map(strip_tone, self.tonal_units))
 
     @classmethod
-    def from_units(cls, tonal_units: Iterable[str], version: str = "inline") -> "SyllableInventory":
-        tonal = frozenset(tonal_units)
-        for unit in tonal:
-            if not _TONAL_RE.match(unit):
-                raise InvalidSyllable(f"malformed tonal unit {unit!r}")
-        return cls(tonal_units=tonal, version=version)
-
-    @classmethod
     def from_file(cls, path) -> "SyllableInventory":
         """Load from a text file: one tonal unit per line, '#' comments."""
         version = str(path)
         units = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if line.startswith("#"):
-                    m = re.match(r"#\s*version:\s*(\S+)", line)
-                    if m:
-                        version = m.group(1)
-                    continue
-                if not line:
-                    continue
-                if not _TONAL_RE.match(line):
-                    raise InvalidSyllable(f"{path}:{lineno}: malformed tonal unit {line!r}")
-                units.append(line)
+        for lineno, raw in _numbered_lines(path):
+            line = raw.strip()
+            if line.startswith("#"):
+                m = re.match(r"#\s*version:\s*(\S+)", line)
+                if m:
+                    version = m.group(1)
+                continue
+            if not line:
+                continue
+            if not _TONAL_RE.match(line):
+                raise InvalidSyllable(f"{path}:{lineno}: malformed tonal unit {line!r}")
+            units.append(line)
         return cls(tonal_units=frozenset(units), version=version)
 
 
@@ -165,28 +165,27 @@ class PronunciationLexicon:
     def from_file(cls, path, inventory: SyllableInventory) -> "PronunciationLexicon":
         """Load a TSV of ``character<TAB>unit<TAB>weight`` rows."""
         entries: dict[str, list[tuple[str, float]]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-                char, unit, weight_text = fields
-                if len(char) != 1:
-                    raise ValueError(f"{path}:{lineno}: key must be a single character, got {char!r}")
-                try:
-                    weight = float(weight_text)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad weight {weight_text!r}") from exc
-                if weight <= 0:
-                    raise ValueError(f"{path}:{lineno}: weight must be positive")
-                try:
-                    unit = parse_syllable(unit, inventory)
-                except (InvalidSyllable, InvalidTone) as exc:
-                    raise type(exc)(f"{path}:{lineno}: {exc}") from None
-                entries.setdefault(char, []).append((unit, weight))
+        for lineno, raw in _numbered_lines(path):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            char, unit, weight_text = fields
+            if len(char) != 1:
+                raise ValueError(f"{path}:{lineno}: key must be a single character, got {char!r}")
+            try:
+                weight = float(weight_text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad weight {weight_text!r}") from exc
+            if weight <= 0:
+                raise ValueError(f"{path}:{lineno}: weight must be positive")
+            try:
+                unit = parse_syllable(unit, inventory)
+            except (InvalidSyllable, InvalidTone) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+            entries.setdefault(char, []).append((unit, weight))
         return cls(entries)
 
     def __contains__(self, char: str) -> bool:

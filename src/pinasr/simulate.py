@@ -52,6 +52,8 @@ class SimConfig:
             raise ValueError(f"confusion_temperature must be >= 0, got {self.confusion_temperature}")
         if self.confusion_policy not in POLICIES:
             raise ValueError(f"unknown confusion_policy {self.confusion_policy!r}, want one of {POLICIES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @lru_cache(maxsize=8)

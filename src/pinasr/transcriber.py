@@ -50,9 +50,6 @@ class HomophoneLattice:
     positions: tuple[tuple[tuple[str, float], ...], ...]
     fallbacks: tuple[int, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.positions)
-
     def check_exact(self) -> None:
         """Raise NoCandidate for the first position that fell back."""
         if self.fallbacks:

@@ -180,12 +180,11 @@ def test_criterion_6_ambiguity_stats_oracle():
 
 def test_criterion_7_end_to_end_losslessness(tmp_path):
     config = PipelineConfig(
-        eval_corpus="",  # bundled held-out set is replaced below by train
+        eval_corpus=str(assets.data_path("corpus_train.txt")),  # train, not the bundled held-out set
         temperature=0.0,
         seed=2024,
         out_dir=str(tmp_path / "clean"),
     )
-    config.eval_corpus = str(assets.data_path("corpus_train.txt"))
     assert cmd_pipeline(None, config) == 0
     report = dict(
         line.split("\t")

@@ -1,9 +1,13 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from pinasr import assets
+from pinasr.cli import main
 from pinasr.assets import (
     REFERENCE_COUNTS,
     read_manifest,
@@ -141,3 +145,26 @@ def test_lexicon_reading_outside_inventory_fails_load(tmp_path, monkeypatch):
     load = next(c for c in report.checks if c.name == "load")
     assert not load.ok
     assert f"lexicon.tsv:{lineno}: " in load.detail and "'zzz1'" in load.detail
+
+
+def test_manifest_bad_count_names_its_line(tmp_path, monkeypatch, capsys):
+    data_dir = Path(assets.data_path("manifest.tsv")).parent
+    workdir = tmp_path / "data"
+    shutil.copytree(data_dir, workdir)
+    manifest = workdir / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.strip() and not line.startswith("#"))
+    lines[lineno - 1] = lines[lineno - 1].rsplit("\t", 1)[0] + "\tx"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(assets, "data_path", lambda name: workdir / name)
+    assert main(["validate-assets"]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}:{lineno}: bad count 'x'\n"
+
+
+def test_importing_assets_loads_no_numpy_and_no_search_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, pinasr.assets; "
+             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'pinasr'))))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.split() == ["pinasr", "pinasr.assets", "pinasr.corpus", "pinasr.pinyin"]

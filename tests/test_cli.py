@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pinasr import assets
-from pinasr.cli import PipelineConfig, build_parser, config_hash, main, parse_config_file
+from pinasr.cli import ConfigError, PipelineConfig, build_parser, config_hash, main, parse_config_file
 
 SUBCOMMANDS = ("pipeline", "train-lm", "decode", "transcribe", "stats", "score", "synth")
 
@@ -493,3 +494,44 @@ def test_readme_command_lines_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: pinasr {shlex.join(argv)}")
 
+
+
+def test_pipeline_config_checks_itself_on_construction_and_is_frozen():
+    with pytest.raises(ConfigError, match="unit_mode must be tonal or toneless, got 'x'"):
+        PipelineConfig(unit_mode="x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PipelineConfig().seed = 1
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_negative_seed_exits_2_before_anything_is_written(tmp_path, small_corpus, capsys, command):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--seed", "-1", "--eval-corpus", str(small_corpus), "--out-dir", str(out_dir))
+    assert (code, out, err) == (2, "", "config error: seed must be >= 0, got -1\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bad", ["eval-corpus", "train-corpus", "config", "inventory", "lexicon", "transcribe-input",
+                                 "score-refs", "score-hyps", "emissions-dir-refs"])
+def test_input_that_is_not_utf8_exits_1_naming_its_file(tmp_path, small_corpus, capsys, bad):
+    em_dir = tmp_path / "em"
+    em_dir.mkdir()
+    path = em_dir / "refs.tsv"   # every case reads this file; --emissions-dir finds it by this name
+    path.write_bytes(b"\xff\xfe")
+    (tmp_path / "char.arpa").write_text(GOOD_ARPA, encoding="utf-8")
+    argv = {
+        "eval-corpus": ["pipeline", "--eval-corpus", str(path)],
+        "train-corpus": ["train-lm", "--train-corpus", str(path)],
+        "config": ["pipeline", "--config", str(path)],
+        "inventory": ["synth", "--inventory", str(path)],
+        "lexicon": ["synth", "--lexicon", str(path)],
+        "transcribe-input": ["transcribe", "--input", str(path), "--char-lm", str(tmp_path / "char.arpa")],
+        "score-refs": ["score", "--refs", str(path), "--hyps", str(small_corpus)],
+        "score-hyps": ["score", "--refs", str(small_corpus), "--hyps", str(path)],
+        "emissions-dir-refs": ["pipeline", "--emissions-dir", str(em_dir), "--eval-corpus", str(small_corpus)],
+    }[bad]
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert not out_dir.exists()

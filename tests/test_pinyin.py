@@ -94,7 +94,7 @@ def test_inventory_is_every_segment_in_tones_1_to_4_plus_read_tone_5(inventory, 
 def test_toneless_units_are_the_stripped_tonal_units(tmp_path, inventory):
     path = tmp_path / "syllables.txt"
     path.write_text("# version: t1\nzhong1\nzhong4\n\nlv4\na1\n", encoding="utf-8")
-    inline = SyllableInventory.from_units(["zhong1", "zhong4", "guo2", "er5"])
+    inline = SyllableInventory(frozenset(["zhong1", "zhong4", "guo2", "er5"]), "inline")
     for inv in (inline, SyllableInventory.from_file(path), inventory):
         assert inv.toneless_units == {strip_tone(unit) for unit in inv.tonal_units}
     assert inline.toneless_units == {"zhong", "guo", "er"}
@@ -117,11 +117,12 @@ def test_parser_never_crashes_on_ascii(inventory, text):
     assert unit == text.lower()
 
 
-def test_inventory_from_units_rejects_malformed():
-    with pytest.raises(InvalidSyllable):
-        SyllableInventory.from_units(["zhong"])  # no tone digit
-    with pytest.raises(InvalidSyllable):
-        SyllableInventory.from_units(["zhong6"])
+def test_inventory_from_file_rejects_malformed(tmp_path):
+    path = tmp_path / "syllables.txt"
+    for unit in ("zhong", "zhong6"):   # no tone digit; tone out of range
+        path.write_text(f"zhong1\n{unit}\n", encoding="utf-8")
+        with pytest.raises(InvalidSyllable, match=f":2: malformed tonal unit '{unit}'"):
+            SyllableInventory.from_file(path)
 
 
 def test_hanzi_to_pinyin_fixture(lexicon):

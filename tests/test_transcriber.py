@@ -54,7 +54,7 @@ def lexicon():
 
 def test_build_lattice_single_and_missing(lexicon):
     lattice = build_lattice_lenient(["zhong1", "guo2"], lexicon, tonal=True)
-    assert len(lattice) == 2
+    assert len(lattice.positions) == 2
     assert all(lattice.positions)
     lattice.check_exact()
     with pytest.raises(NoCandidate) as err:
@@ -117,7 +117,7 @@ def test_viterbi_equals_enumeration_seeded():
         want_chars, want_score = enumerate_lattice_best(lattice, lm, weight)
         assert got.hanzi == "".join(want_chars), trial
         assert got.total_score == pytest.approx(want_score, abs=1e-9)
-        assert len(got.hanzi) == len(lattice)
+        assert len(got.hanzi) == len(lattice.positions)
 
 
 def test_exhaustive_beam_equals_viterbi():
@@ -205,7 +205,7 @@ def test_lenient_lattice_falls_back(lexicon):
     # toneless candidate set instead of failing.
     strict_fail = ["zhong1", "zhong2"]
     lattice = build_lattice_lenient(strict_fail, lexicon, tonal=True)
-    assert len(lattice) == 2
+    assert len(lattice.positions) == 2
     assert lattice.fallbacks == (1,)
     toneless = {c for c, _ in lexicon.homophones("zhong", tonal=False)}
     assert {c for c, _ in lattice.positions[1]} == toneless
@@ -224,7 +224,7 @@ def test_fallbacks_are_the_units_without_homophones(lexicon, tonal):
     inventory = assets.default_inventory()
     units = sorted(inventory.tonal_units if tonal else inventory.toneless_units) + ["", "x9"]
     lattice = build_lattice_lenient(units, lexicon, tonal=tonal)
-    assert len(lattice) == len(units)
+    assert len(lattice.positions) == len(units)
     want = tuple(i for i, unit in enumerate(units) if not lexicon.homophones(unit, tonal=tonal))
     assert want and lattice.fallbacks == want
     with pytest.raises(NoCandidate) as err:
