@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -66,11 +67,11 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Raise ConfigError for a ``unit_mode`` outside its choices, an LM order
-        outside [1, MAX_ORDER], an ``lm_discount`` outside (0, 1), a ``transcriber_beam``
-        below 1, or a setting that DecoderConfig, SimConfig (``confusion_policy`` and
-        ``seed`` among them) or ``check_length_bounds`` (``min_len``, ``max_len``) rejects,
-        so every command has a checked config before it loads or writes anything."""
+        """Raise ConfigError for a ``unit_mode`` outside its choices, an LM order outside [1, MAX_ORDER], an
+        ``lm_discount`` outside (0, 1), a ``transcriber_beam`` below 1, a ``channel_weight`` not finite and >= 0,
+        or a setting that DecoderConfig, SimConfig (``confusion_policy`` and ``seed`` among them) or
+        ``check_length_bounds`` (``min_len``, ``max_len``) rejects, so every command has a checked config
+        before it loads or writes anything."""
         if self.unit_mode not in ("tonal", "toneless"):
             raise ConfigError(f"unit_mode must be tonal or toneless, got {self.unit_mode!r}")
         for key in ("pinyin_lm_order", "char_lm_order"):
@@ -80,6 +81,8 @@ class PipelineConfig:
             raise ConfigError(f"lm_discount must be in (0, 1), got {self.lm_discount}")
         if self.transcriber_beam < 1:
             raise ConfigError(f"transcriber_beam must be >= 1, got {self.transcriber_beam}")
+        if not 0 <= self.channel_weight < math.inf:   # NaN fails both comparisons
+            raise ConfigError(f"channel_weight must be finite and >= 0, got {self.channel_weight}")
         try:
             decoder_config(self)
             sim_config(self)
@@ -270,12 +273,9 @@ def _read_emission_file(path: Path) -> EmissionMatrix:
         return read_emissions(fh)
 
 
-def _check_refs(path: Path, utterances) -> None:
-    """Fail unless synth's refs.tsv lists exactly these utterances, in order,
-    so ingested emissions are scored against their own references."""
-    if not path.exists():
-        raise ValueError(f"{path}: not found; --emissions-dir needs the refs.tsv that synth writes")
-    lines = _read_text(path).splitlines()
+def _check_refs(path: Path, lines: list[str], utterances) -> None:
+    """Fail unless ``lines``, those of synth's refs.tsv at ``path``, list exactly
+    these utterances, in order, so ingested emissions are scored against their own references."""
     want = _ref_lines(utterances)
     for lineno, (line, ref) in enumerate(zip(lines, want), 1):
         if line != ref:
@@ -287,12 +287,14 @@ def _check_refs(path: Path, utterances) -> None:
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Synthesize (or ingest), decode, transcribe and score every eval
     utterance. A failing utterance raises ValueError naming its stage."""
+    refs = Path(config.emissions_dir) / "refs.tsv"
+    ref_lines = _read_text(refs).splitlines() if config.emissions_dir else []   # missing: ConfigError, before any work
     pipe = Pipeline(config)
     evals = pipe.utterances(config.eval_corpus, "corpus_heldout.txt", "eval")
     if not evals:
         raise ConfigError("evaluation corpus is empty after filtering")
     if config.emissions_dir:
-        _check_refs(Path(config.emissions_dir) / "refs.tsv", evals)
+        _check_refs(refs, ref_lines, evals)
     unit_lm, char_lm = pipe.lms()
 
     decoder = decoder_config(config)
@@ -518,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 def make_config(args) -> PipelineConfig:
     values = {}
     if getattr(args, "config", None):
-        values.update(parse_config_file(_existing(args.config)))
+        values.update(parse_config_file(args.config))
     for f in dataclasses.fields(PipelineConfig):
         if hasattr(args, f.name):
             values[f.name] = getattr(args, f.name)

@@ -169,8 +169,8 @@ class DecoderConfig:
             raise ValueError(f"lm_weight must be finite and >= 0, got {self.lm_weight}")
         if not math.isfinite(self.insertion_bonus):
             raise ValueError(f"insertion_bonus must be finite, got {self.insertion_bonus}")
-        if math.isnan(self.prune_threshold):
-            raise ValueError("prune_threshold must not be NaN")
+        if not self.prune_threshold < math.inf:   # NaN fails too; -inf prunes nothing
+            raise ValueError(f"prune_threshold must be below +inf, got {self.prune_threshold}")
 
 
 @functools.lru_cache(maxsize=8)

@@ -217,20 +217,6 @@ def train(
     prob: dict[tuple[str, ...], float] = {}
     backoff: dict[tuple[str, ...], float] = {}
 
-    def backed_off_prob(context: tuple[str, ...], token: str) -> float:
-        # Linear-probability backoff walk over the tables built so far.
-        weight = 1.0
-        while True:
-            hit = prob.get(context + (token,))
-            if hit is not None:
-                return weight * 10.0 ** hit
-            if not context:
-                return weight * uniform
-            bow = backoff.get(context)
-            if bow is not None:
-                weight *= 10.0 ** bow
-            context = context[1:]
-
     for k in range(1, order + 1):
         counts = adjusted[k - 1]
         by_context: dict[tuple[str, ...], dict[str, int]] = {}
@@ -252,9 +238,9 @@ def train(
             if len(context) > 0:
                 backoff[context] = math.log10(gamma)
             for token, count in sorted(followers.items()):
-                # At the unigram level the fallback is the uniform base
-                # distribution, never the (partially built) table itself.
-                lower = uniform if k == 1 else backed_off_prob(context[1:], token)
+                # At k >= 2, (context, token) was counted as a k-gram, so its suffix
+                # was counted at order k-1 and its probability stored one pass earlier.
+                lower = uniform if k == 1 else 10.0 ** prob[context[1:] + (token,)]
                 p = max(count - discount, 0.0) / denom + gamma * lower
                 prob[context + (token,)] = math.log10(p)
 

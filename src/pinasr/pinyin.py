@@ -15,6 +15,7 @@ syllables (``e``, ``ai``) have an empty onset.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,8 +143,8 @@ class PronunciationLexicon:
             if not readings:
                 raise ValueError(f"empty reading list for {char!r}")
             for unit, weight in readings:
-                if weight <= 0:
-                    raise ValueError(f"non-positive weight {weight} for {char!r} {unit}")
+                if not 0 < weight < math.inf:   # NaN fails both comparisons
+                    raise ValueError(f"non-positive or non-finite weight {weight} for {char!r} {unit}")
             ordered = tuple(sorted(readings, key=lambda rw: (-rw[1], rw[0])))
             self._entries[char] = ordered
         # Homophone indexes: unit string -> list of (char, P(reading | char)).
@@ -179,8 +180,8 @@ class PronunciationLexicon:
                 weight = float(weight_text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad weight {weight_text!r}") from exc
-            if weight <= 0:
-                raise ValueError(f"{path}:{lineno}: weight must be positive")
+            if not 0 < weight < math.inf:   # NaN fails both comparisons
+                raise ValueError(f"{path}:{lineno}: weight must be {'positive' if weight <= 0 else 'finite'}")
             try:
                 unit = parse_syllable(unit, inventory)
             except (InvalidSyllable, InvalidTone) as exc:

@@ -18,6 +18,7 @@ the identical emissions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -48,8 +49,8 @@ class SimConfig:
             raise ValueError(f"frames_per_unit must be >= 2, got {self.frames_per_unit}")
         if not 0.0 < self.blank_fill <= 1.0:
             raise ValueError(f"blank_fill must be in (0, 1], got {self.blank_fill}")
-        if self.confusion_temperature < 0.0:
-            raise ValueError(f"confusion_temperature must be >= 0, got {self.confusion_temperature}")
+        if not 0.0 <= self.confusion_temperature < math.inf:   # NaN fails both comparisons
+            raise ValueError(f"confusion_temperature must be finite and >= 0, got {self.confusion_temperature}")
         if self.confusion_policy not in POLICIES:
             raise ValueError(f"unknown confusion_policy {self.confusion_policy!r}, want one of {POLICIES}")
         if self.seed < 0:

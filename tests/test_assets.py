@@ -161,6 +161,20 @@ def test_manifest_bad_count_names_its_line(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: {manifest}:{lineno}: bad count 'x'\n"
 
 
+def test_manifest_line_with_two_fields_names_its_line(tmp_path, monkeypatch, capsys):
+    data_dir = Path(assets.data_path("manifest.tsv")).parent
+    workdir = tmp_path / "data"
+    shutil.copytree(data_dir, workdir)
+    manifest = workdir / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.strip() and not line.startswith("#"))
+    lines[lineno - 1] = lines[lineno - 1].rsplit("\t", 1)[0]
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(assets, "data_path", lambda name: workdir / name)
+    assert main(["validate-assets"]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}:{lineno}: expected 3 tab-separated fields\n"
+
+
 def test_importing_assets_loads_no_numpy_and_no_search_module():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

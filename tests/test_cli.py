@@ -367,12 +367,24 @@ def test_pipeline_ingest_checks_synth_refs(tmp_path, small_corpus, capsys, case)
         message = "refs.tsv: 12 references for 10 eval utterances"
     else:
         (em_dir / "refs.tsv").unlink()
-        message = "refs.tsv: not found"
+        message = f"config error: no such file: {em_dir / 'refs.tsv'}"
     code, out, err = run(capsys, "pipeline", "--emissions-dir", str(em_dir), "--eval-corpus", str(eval_corpus),
                          "--out-dir", str(out_dir), *flags)
-    assert code == 1
+    assert code == (2 if case == "missing-refs" else 1)
     assert message in err
     assert out == "" and not out_dir.exists()
+
+
+def test_missing_refs_is_found_before_the_eval_corpus_is_read(tmp_path, small_corpus, capsys):
+    em_dir, out_dir = tmp_path / "em", tmp_path / "out"
+    assert run(capsys, "synth", "--eval-corpus", str(small_corpus), "--out-dir", str(em_dir))[0] == 0
+    (em_dir / "refs.tsv").unlink()
+    eval_corpus = tmp_path / "eval.txt"
+    eval_corpus.write_bytes(b"\xff\xfe")   # read first, this would fail with exit 1
+    code, out, err = run(capsys, "pipeline", "--emissions-dir", str(em_dir), "--eval-corpus", str(eval_corpus),
+                         "--out-dir", str(out_dir))
+    assert (code, out, err) == (2, "", f"config error: no such file: {em_dir / 'refs.tsv'}\n")
+    assert not out_dir.exists()
 
 
 def test_pipeline_ingest_matches_synthesized_run(tmp_path, small_corpus, capsys):
@@ -534,4 +546,122 @@ def test_input_that_is_not_utf8_exits_1_naming_its_file(tmp_path, small_corpus, 
     code, out, err = run(capsys, *argv, "--out-dir", str(out_dir))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert not out_dir.exists()
+
+
+def lexicon_with_first_entry(tmp_path, replace):
+    """A copy of the bundled lexicon with its first entry's line passed through
+    ``replace``, and that line's number."""
+    lines = assets.data_path("lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.strip() and not line.startswith("#"))
+    lines[lineno - 1] = replace(lines[lineno - 1])
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, lineno
+
+
+@pytest.mark.parametrize("argv", [
+    ("pipeline", "--channel-weight", "nan"),
+    ("pipeline", "--channel-weight=-1e308"),
+    ("transcribe", "--channel-weight", "inf"),
+    ("pipeline", "--temperature", "nan"),
+    ("pipeline", "--temperature", "inf"),
+    ("synth", "--temperature", "nan"),
+    ("pipeline", "--prune-threshold", "inf"),
+    ("decode", "--prune-threshold", "inf"),
+    ("synth", "lexicon-weight", "nan"),
+    ("pipeline", "lexicon-weight", "inf"),
+], ids=lambda argv: "_".join(argv))
+def test_nan_and_inf_fail_each_numeric_domain(tmp_path, small_corpus, capsys, argv):
+    command, *flag = argv
+    if command == "decode":
+        # Real emission files, so only the config check can fail the decode.
+        assert run(capsys, "synth", "--eval-corpus", str(small_corpus), "--out-dir", str(tmp_path / "em"))[0] == 0
+    extra = {
+        "transcribe": ["--input", str(small_corpus), "--char-lm", str(tmp_path / "char.arpa")],
+        "decode": ["--emissions", str(tmp_path / "em")],
+    }.get(command, ["--eval-corpus", str(small_corpus)])
+    out_dir = tmp_path / "out"
+    if flag[0] == "lexicon-weight":   # a weight in the lexicon file, not a config key
+        lexicon, lineno = lexicon_with_first_entry(tmp_path, lambda line: line.rsplit("\t", 1)[0] + "\t" + flag[1])
+        code, out, err = run(capsys, command, "--lexicon", str(lexicon), *extra, "--out-dir", str(out_dir))
+        assert (code, out, err) == (1, "", f"error: {lexicon}:{lineno}: weight must be finite\n")
+    else:
+        code, out, err = run(capsys, command, *flag, *extra, "--out-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and flag[0][2:].split("=")[0].replace("-", "_") in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed\n", "1: expected key=value, got 'seed'"),
+    ("# comment\nuse_pinyin_lm = maybe\n", "2: bad boolean 'maybe'"),
+    ("seed=1.5\n", "1: bad int '1.5'"),
+    ("lm_weight=heavy\n", "1: bad float 'heavy'"),
+])
+def test_config_file_errors_name_the_line(tmp_path, capsys, text, message):
+    config = tmp_path / "run.conf"
+    config.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "pipeline", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", f"config error: {config}:{message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_accepts_booleans_and_strings(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("use_pinyin_lm = Yes\nunit_mode=toneless\nconfusion_policy = final-neighbor\n", encoding="utf-8")
+    assert parse_config_file(config) == {"use_pinyin_lm": True, "unit_mode": "toneless",
+                                         "confusion_policy": "final-neighbor"}
+    config.write_text("use_pinyin_lm=OFF\nchar_lm=lm/char.arpa\n", encoding="utf-8")
+    assert parse_config_file(config) == {"use_pinyin_lm": False, "char_lm": "lm/char.arpa"}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("好\thao3", "expected 3 tab-separated fields"),
+    ("好好\thao3\t1", "key must be a single character, got '好好'"),
+    ("好\thao3\theavy", "bad weight 'heavy'"),
+    ("好\thao3\t0", "weight must be positive"),
+], ids=["fields", "key", "weight-text", "weight-zero"])
+def test_lexicon_file_errors_name_the_line(tmp_path, small_corpus, capsys, line, message):
+    lexicon, lineno = lexicon_with_first_entry(tmp_path, lambda _: line)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "synth", "--lexicon", str(lexicon), "--eval-corpus", str(small_corpus),
+                         "--out-dir", str(out_dir))
+    assert (code, out, err) == (1, "", f"error: {lexicon}:{lineno}: {message}\n")
+    assert not out_dir.exists()
+
+
+def test_decode_directory_without_emission_files_exits_1(tmp_path, capsys):
+    assert run(capsys, "decode", "--emissions", str(tmp_path)) == (1, "", f"no *.em files under {tmp_path}\n")
+
+
+def test_score_writes_per_utterance_jsonl(tmp_path, capsys):
+    refs, hyps, detail = tmp_path / "refs.txt", tmp_path / "hyps.txt", tmp_path / "detail.jsonl"
+    refs.write_text("a b c\nd\n", encoding="utf-8")
+    hyps.write_text("a x c e\nd\n", encoding="utf-8")
+    code, out, err = run(capsys, "score", "--refs", str(refs), "--hyps", str(hyps), "--jsonl", str(detail))
+    assert (code, err) == (0, "") and "rate\t0.500000\n" in out
+    assert detail.read_text(encoding="utf-8") == (
+        '{"deletions": 0, "distance": 2, "index": 0, "insertions": 1, "ref_len": 3, "substitutions": 1}\n'
+        '{"deletions": 0, "distance": 0, "index": 1, "insertions": 0, "ref_len": 1, "substitutions": 0}\n')
+
+
+def test_score_all_empty_references_warns(tmp_path, capsys):
+    refs, hyps = tmp_path / "refs.txt", tmp_path / "hyps.txt"
+    refs.write_text("\n\n", encoding="utf-8")
+    hyps.write_text("a\n\n", encoding="utf-8")
+    code, out, err = run(capsys, "score", "--refs", str(refs), "--hyps", str(hyps))
+    assert (code, err) == (0, "")
+    assert out == ("metric\terror_rate\nsubstitutions\t0\ninsertions\t1\ndeletions\t0\nref_len\t0\n"
+                   "rate\t0.000000\nwarning\tempty-reference corpus\n")
+
+
+def test_eval_corpus_that_filters_to_nothing_exits_2(tmp_path, capsys):
+    corpus = write_sentences(tmp_path / "short.txt", ["你好", "谢谢"])
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "pipeline", "--eval-corpus", str(corpus), "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == (f"eval corpus {corpus}: dropped 2 of 2 sentences: 0 without Hanzi, 2 outside the length bounds, "
+                   "0 repeated, 0 with a character the lexicon lacks\n"
+                   "config error: evaluation corpus is empty after filtering\n")
     assert not out_dir.exists()

@@ -133,6 +133,16 @@ def test_count_table_prefix_closure():
         assert all(c > 0 for c in level.values())
 
 
+@given(SENTENCES, st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_count_table_suffix_closure(corpus, order):
+    # train interpolates each k-gram (k >= 2) with its suffix's stored probability.
+    adjusted = _count_ngrams(corpus, order)
+    for k in range(2, order + 1):
+        for gram in adjusted[k - 1]:
+            assert gram[1:] in adjusted[k - 2], gram
+
+
 def test_perplexity_bounds_and_fixture():
     model = train([["a"]], order=1, discount=0.5)
     assert perplexity(model, [["a"]]) <= len(prediction_vocabulary(model))
