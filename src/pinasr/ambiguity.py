@@ -48,27 +48,25 @@ def mapping_stats(corpus: ParallelCorpus, n: int, tonal: bool = True) -> Mapping
     )
 
 
-@dataclass(frozen=True)
-class StatsReport:
-    rows: tuple[tuple[MappingStats, MappingStats], ...]  # (tonal, toneless) per n
+Rows = tuple[tuple[MappingStats, MappingStats], ...]
 
 
-def stats_report(corpus: ParallelCorpus, n_max: int) -> StatsReport:
+def stats_report(corpus: ParallelCorpus, n_max: int) -> Rows:
+    """The (tonal, toneless) stats of each n from 1 to ``n_max``."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rows = tuple(
+    return tuple(
         (mapping_stats(corpus, n, tonal=True), mapping_stats(corpus, n, tonal=False))
         for n in range(1, n_max + 1)
     )
-    return StatsReport(rows=rows)
 
 
 TSV_HEADER = "n\tavg_tonal\tmax_tonal\tpct_unique_tonal\tavg_toneless\tmax_toneless\tpct_unique_toneless"
 
 
-def render_tsv(report: StatsReport) -> str:
+def render_tsv(rows: Rows) -> str:
     lines = [TSV_HEADER]
-    for tonal, toneless in report.rows:
+    for tonal, toneless in rows:
         lines.append(
             f"{tonal.n}\t{tonal.average:.6f}\t{tonal.maximum}\t{tonal.pct_unique:.4f}"
             f"\t{toneless.average:.6f}\t{toneless.maximum}\t{toneless.pct_unique:.4f}"
@@ -76,10 +74,10 @@ def render_tsv(report: StatsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_table(report: StatsReport) -> str:
+def render_table(rows: Rows) -> str:
     """Human-readable table; toneless values sit in parentheses."""
     lines = [f"{'N-gram':<8}{'Average':>18}{'Maximum':>16}{'Unique':>20}"]
-    for tonal, toneless in report.rows:
+    for tonal, toneless in rows:
         lines.append(
             f"{str(tonal.n) + '-gram':<8}"
             f"{f'{tonal.average:.2f} ({toneless.average:.2f})':>18}"

@@ -91,14 +91,10 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def _record_count(path: Path) -> int:
-    lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l.strip() and not l.startswith("#")]
-    return len(lines)
-
-
 def validate_assets() -> ValidationReport:
     checks: list[Check] = []
     entries = read_manifest()
+    corpora: dict[str, list[str]] = {}   # corpus name -> its non-blank lines
 
     for entry in entries:
         try:
@@ -106,7 +102,8 @@ def validate_assets() -> ValidationReport:
         except FileNotFoundError:
             checks.append(Check(f"present:{entry.path}", False, "file missing"))
             continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        data = path.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
         checks.append(
             Check(
                 f"hash:{entry.path}",
@@ -114,7 +111,12 @@ def validate_assets() -> ValidationReport:
                 "matches manifest" if digest == entry.sha256 else f"got {digest[:12]}..., manifest {entry.sha256[:12]}...",
             )
         )
-        count = _record_count(path)
+        try:
+            lines = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            checks.append(Check(f"count:{entry.path}", False, str(exc)))
+            continue
+        count = sum(1 for line in lines if line.strip() and not line.startswith("#"))
         checks.append(
             Check(
                 f"count:{entry.path}",
@@ -122,6 +124,8 @@ def validate_assets() -> ValidationReport:
                 f"{count} records" if count == entry.count else f"{count} records, manifest says {entry.count}",
             )
         )
+        if entry.path in CORPORA:
+            corpora[entry.path] = [line for line in lines if line.strip()]
 
     try:
         inventory = default_inventory()
@@ -142,10 +146,10 @@ def validate_assets() -> ValidationReport:
         if complete else f"tones 1-4 missing: {missing[:5]}; tone-5 units no lexicon entry reads: {unread[:5]}"))
 
     for name in CORPORA:
-        try:
-            sentences = read_sentences(name)
-        except FileNotFoundError:
-            checks.append(Check(f"coverage:{name}", False, "file missing"))
+        sentences = corpora.get(name)
+        if sentences is None:   # a corpus missing or not UTF-8 failed above
+            if all(entry.path != name for entry in entries):
+                checks.append(Check(f"coverage:{name}", False, "not in manifest"))
             continue
         parallel = build_parallel(sentences, lexicon)
         checks.append(

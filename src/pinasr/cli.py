@@ -392,8 +392,7 @@ def cmd_decode(args, config: PipelineConfig) -> int:
     source = Path(args.emissions)
     files = sorted(source.glob("*.em")) if source.is_dir() else [_existing(args.emissions)]
     if not files:
-        print(f"no *.em files under {source}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"no *.em files under {source}")
     for path in files:
         emissions = _read_emission_file(path)
         with _naming(path):   # the LM may lack units of this file
@@ -403,9 +402,9 @@ def cmd_decode(args, config: PipelineConfig) -> int:
 
 
 def cmd_transcribe(args, config: PipelineConfig) -> int:
-    pipe = Pipeline(config)
     if not config.char_lm:
         raise ConfigError("transcribe needs --char-lm (an ARPA character LM)")
+    pipe = Pipeline(config)
     char_lm = _read_arpa(config.char_lm)
     for lineno, line in enumerate(_read_text(args.input).splitlines(), 1):
         if not line.strip():
@@ -428,10 +427,10 @@ def cmd_stats(args, config: PipelineConfig) -> int:
         corpus = build_parallel(lines, pipe.lexicon)
         _report_dropped("stats", name, lines, FilterResult(lines), corpus)   # stats filters nothing
     with _naming(name):
-        report = ambiguity.stats_report(corpus, args.n_max)
-    print(ambiguity.render_tsv(report), end="")
+        rows = ambiguity.stats_report(corpus, args.n_max)
+    print(ambiguity.render_tsv(rows), end="")
     print()
-    print(ambiguity.render_table(report), end="")
+    print(ambiguity.render_table(rows), end="")
     return 0
 
 

@@ -199,7 +199,9 @@ def prefix_beam_search(
     prefix tracks separate blank/non-blank ending masses, and extension by a
     unit adds its fused LM/bonus contribution exactly once, by one
     ``lm.score_token`` query from the prefix's LM state. Raises ValueError
-    naming the frame when no class of a frame is above ``prune_threshold``.
+    naming the frame when no class of a frame is above ``prune_threshold``,
+    or when a kept fused score is NaN or +-inf (an overflowing ``lm_weight``
+    or ``insertion_bonus``) but for the -inf of a prefix of zero mass.
 
     Each frame runs in two passes. The first gives every kept prefix the
     masses that land on it: its own blank, its own repeat, and its parent's
@@ -294,6 +296,12 @@ def prefix_beam_search(
         # Prefixes are unique, so ties on the score break by prefix alone.
         candidates.sort()
         beam = candidates[:width]
+        # Every kept fused score is finite, or -inf for a prefix of zero mass;
+        # the sum of the keys is finite in the common case.
+        if not math.isfinite(sum(map(itemgetter(0), beam))):
+            for key, *_, total in beam:
+                if not (-math.inf < key < math.inf or key == math.inf and total == NEG_INF):
+                    raise ValueError(f"frame {t}: fused score is not finite; lm_weight or insertion_bonus overflows")
 
     return [(tuple(labels[u] for u in prefix), -key) for key, prefix, *_ in beam]
 

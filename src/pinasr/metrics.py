@@ -66,14 +66,16 @@ class UtteranceScore:
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Pooled edit counts over a corpus: rate = (S+I+D) / total ref length."""
+    """Pooled edit counts over a corpus: rate = (S+I+D) / total ref length.
+    The totals sum ``per_utterance``; an all-empty reference corpus is ``degenerate``."""
 
-    substitutions: int
-    insertions: int
-    deletions: int
-    ref_len: int
     per_utterance: tuple[UtteranceScore, ...]
-    degenerate: bool = False
+
+    substitutions = property(lambda self: sum(u.substitutions for u in self.per_utterance))
+    insertions = property(lambda self: sum(u.insertions for u in self.per_utterance))
+    deletions = property(lambda self: sum(u.deletions for u in self.per_utterance))
+    ref_len = property(lambda self: sum(u.ref_len for u in self.per_utterance))
+    degenerate = property(lambda self: self.ref_len == 0)
 
     @property
     def errors(self) -> int:
@@ -89,37 +91,15 @@ class ScoreReport:
 def error_rate(refs: Sequence[Sequence], hyps: Sequence[Sequence]) -> ScoreReport:
     """Corpus-level error rate from pooled counts, with per-utterance detail.
 
-    An all-empty reference corpus reports 0% and sets the ``degenerate``
-    flag rather than dividing by zero.
+    An all-empty reference corpus reports 0% and is ``degenerate`` rather
+    than dividing by zero.
     """
     if len(refs) != len(hyps):
         raise LengthMismatch(f"{len(refs)} references vs {len(hyps)} hypotheses")
-    subs = ins = dels = ref_len = 0
-    detail = []
-    for index, (ref, hyp) in enumerate(zip(refs, hyps)):
-        counts = edit_distance(ref, hyp)
-        subs += counts.substitutions
-        ins += counts.insertions
-        dels += counts.deletions
-        ref_len += len(ref)
-        detail.append(
-            UtteranceScore(
-                index=index,
-                ref_len=len(ref),
-                distance=counts.distance,
-                substitutions=counts.substitutions,
-                insertions=counts.insertions,
-                deletions=counts.deletions,
-            )
-        )
-    return ScoreReport(
-        substitutions=subs,
-        insertions=ins,
-        deletions=dels,
-        ref_len=ref_len,
-        per_utterance=tuple(detail),
-        degenerate=ref_len == 0,
-    )
+    return ScoreReport(tuple(
+        UtteranceScore(index=index, ref_len=len(ref), **edit_distance(ref, hyp)._asdict())
+        for index, (ref, hyp) in enumerate(zip(refs, hyps))
+    ))
 
 
 def tone_stripped_rescore(

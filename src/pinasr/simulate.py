@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -108,21 +107,16 @@ def synth_emissions(
     rng = np.random.default_rng(config.seed)
     neighbors = confusion_map(alphabet, config.confusion_policy) if tau > 0 else {}
 
-    # Frame t's unnormalized weights fill grid row t, and live[t] lists the
-    # classes it sets, ascending. Only the denominators read the whole grid:
-    # sum(axis=1) adds each row in the same order as the row's own sum().
-    grid = np.zeros((max(1, len(labels) * (config.frames_per_unit + 1)), V + 1))
-    live: list[list[int]] = []
+    # Position p owns grid rows p*span to (p+1)*span-1, the last its release
+    # frame. A row holds its frame's weights; its nonzero entries are the frame.
+    span = config.frames_per_unit + 1
+    grid = np.zeros((max(1, len(labels) * span), V + 1))
     if not labels:
         grid[0, blank] = 1.0
-        live.append([blank])
     for pos, label in enumerate(labels):
         unit_index = index[label]
         confusable = neighbors.get(label, ())
-        unit_classes = sorted((unit_index, *confusable)) + [blank] if tau > 0 else [unit_index]
-        for _ in range(config.frames_per_unit):
-            weights = grid[len(live)]
-            live.append(unit_classes)
+        for weights in grid[pos * span:(pos + 1) * span - 1]:
             weights[unit_index] = 1.0
             if tau > 0:
                 # One call draws every jitter of the frame: each neighbour's
@@ -135,8 +129,7 @@ def synth_emissions(
                 weights[blank] = tau * _BLANK_LEAK * draws[-1]
         # The release frame: blank-dominant, leaking onto both neighbours.
         next_index = index[labels[pos + 1]] if pos + 1 < len(labels) else None
-        weights = grid[len(live)]
-        live.append(sorted({unit_index, next_index, blank} - {None}) if tau > 0 else [blank])
+        weights = grid[(pos + 1) * span - 1]
         weights[blank] = config.blank_fill
         if tau > 0:
             leak = tau * (1.0 - config.blank_fill) * 0.5
@@ -145,13 +138,17 @@ def synth_emissions(
             if next_index is not None:
                 weights[next_index] += leak * draws[1]
 
-    rows = np.repeat(np.arange(len(live)), [len(classes) for classes in live])
-    cols = np.fromiter(chain.from_iterable(live), dtype=np.intp, count=len(rows))
-    weights = grid[rows, cols]
-    listed = weights > 0   # a zero leak (blank_fill 1) has probability zero
-    rows, cols = rows[listed], cols[listed]
-    log_probs = np.log10(weights[listed] / grid.sum(axis=1)[rows])
+    # Search only the columns a frame can set, ascending to keep class order;
+    # a zero leak (blank_fill 1) drops out. The denominators sum full rows: a
+    # narrower row would round differently.
+    touched = {blank}
+    for label in set(labels):
+        touched.update((index[label], *neighbors.get(label, ())))
+    columns = np.array(sorted(touched))
+    rows, at = np.nonzero(grid[:, columns])
+    cols = columns[at]
+    log_probs = np.log10(grid[rows, cols] / grid.sum(axis=1)[rows])
     pairs = list(zip(cols.tolist(), log_probs.tolist()))
-    bounds = np.searchsorted(rows, np.arange(len(live) + 1)).tolist()
+    bounds = np.searchsorted(rows, np.arange(len(grid) + 1)).tolist()
     frames = [pairs[start:end] for start, end in zip(bounds, bounds[1:])]
     return EmissionMatrix(frames, unit_labels=alphabet, blank_index=blank)

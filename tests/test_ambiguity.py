@@ -107,7 +107,7 @@ def test_merge_monotonicity_on_deterministic_corpora():
 
 def test_report_rows_and_determinism(toy20):
     report = stats_report(toy20, 3)
-    assert len(report.rows) == 3
+    assert len(report) == 3
     assert render_tsv(report) == render_tsv(stats_report(toy20, 3))
     assert render_table(report) == render_table(stats_report(toy20, 3))
 

@@ -85,6 +85,46 @@ def test_missing_file_is_reported(tmp_path, monkeypatch):
     assert any(c.name == "present:corpus_toy20.txt" and not c.ok for c in report.checks)
 
 
+def test_corpus_that_is_not_utf8_fails_its_checks(tmp_path, monkeypatch, capsys):
+    data_dir = Path(assets.data_path("manifest.tsv")).parent
+    workdir = tmp_path / "data"
+    shutil.copytree(data_dir, workdir)
+    corpus = workdir / "corpus_toy20.txt"
+    corpus.write_bytes(corpus.read_bytes() + b"\xff\xfe")
+
+    def fake_data_path(name):
+        path = workdir / name
+        if not path.exists():
+            raise FileNotFoundError(f"bundled data file missing: {path}")
+        return path
+
+    monkeypatch.setattr(assets, "data_path", fake_data_path)
+    assets.default_inventory.cache_clear()
+    assets.default_lexicon.cache_clear()
+    try:
+        report = validate_assets()
+        assert main(["validate-assets"]) == 1
+    finally:
+        assets.default_inventory.cache_clear()
+        assets.default_lexicon.cache_clear()
+    failed = {c.name: c.detail for c in report.checks if not c.ok}
+    assert set(failed) == {"hash:corpus_toy20.txt", "count:corpus_toy20.txt"}
+    assert failed["count:corpus_toy20.txt"].startswith("'utf-8' codec can't decode byte 0xff")
+    assert "[FAIL] count:corpus_toy20.txt: 'utf-8' codec" in capsys.readouterr().out
+
+
+def test_corpus_left_out_of_the_manifest_fails_coverage(tmp_path, monkeypatch):
+    data_dir = Path(assets.data_path("manifest.tsv")).parent
+    workdir = tmp_path / "data"
+    shutil.copytree(data_dir, workdir)
+    manifest = workdir / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    manifest.write_text("\n".join(l for l in lines if not l.startswith("corpus_toy20.txt\t")) + "\n", encoding="utf-8")
+    monkeypatch.setattr(assets, "data_path", lambda name: workdir / name)
+    failed = {c.name: c.detail for c in validate_assets().checks if not c.ok}
+    assert failed == {"coverage:corpus_toy20.txt": "not in manifest"}
+
+
 def test_removed_tone_is_detected(tmp_path, monkeypatch):
     data_dir = Path(assets.data_path("manifest.tsv")).parent
     workdir = tmp_path / "data"

@@ -196,6 +196,14 @@ def test_transcribe_requires_char_lm(tmp_path, capsys):
     assert code == 2 and "char-lm" in err
 
 
+def test_transcribe_without_char_lm_exits_2_before_loading_the_lexicon(tmp_path, capsys):
+    pinyin_file, lexicon = tmp_path / "p.txt", tmp_path / "lexicon.tsv"
+    pinyin_file.write_text("zhong1\n", encoding="utf-8")
+    lexicon.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "transcribe", "--input", str(pinyin_file), "--lexicon", str(lexicon))
+    assert (code, out, err) == (2, "", "config error: transcribe needs --char-lm (an ARPA character LM)\n")
+
+
 GOOD_ARPA = "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n"
 BAD_ARPA = GOOD_ARPA.replace("-0.5", "x")   # line 5: bad log probability 'x'
 
@@ -421,6 +429,15 @@ def test_frame_with_no_live_class_fails_naming_the_frame(tmp_path, small_corpus,
     assert err == f"error: {em_dir / 'utt_0000.em'}: frame 0: no class above prune_threshold 0.0\n"
 
 
+def test_overflowing_fused_score_stops_the_pipeline_naming_the_frame(tmp_path, small_corpus, capsys):
+    # Frame 4 starts the second unit, whose prefix takes 2 * 1e308 of bonus.
+    code, out, err = run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--no-use-pinyin-lm",
+                         "--insertion-bonus", "1e308", "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (1, "") and not (tmp_path / "out").exists()
+    assert err == ("error: stage=decode utt=0: frame 4: fused score is not finite; "
+                   "lm_weight or insertion_bonus overflows\n")
+
+
 def test_pipeline_reports_dropped_sentences_on_stderr(tmp_path, capsys):
     # Three kept sentences, a repeat, one with a character the lexicon lacks
     # and one below min_len: the report covers the three, stderr counts the rest.
@@ -631,8 +648,9 @@ def test_lexicon_file_errors_name_the_line(tmp_path, small_corpus, capsys, line,
     assert not out_dir.exists()
 
 
-def test_decode_directory_without_emission_files_exits_1(tmp_path, capsys):
-    assert run(capsys, "decode", "--emissions", str(tmp_path)) == (1, "", f"no *.em files under {tmp_path}\n")
+def test_decode_directory_without_emission_files_exits_2(tmp_path, capsys):
+    assert run(capsys, "decode", "--emissions", str(tmp_path)) == (
+        2, "", f"config error: no *.em files under {tmp_path}\n")
 
 
 def test_score_writes_per_utterance_jsonl(tmp_path, capsys):

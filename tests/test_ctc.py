@@ -329,6 +329,16 @@ def test_frame_with_no_live_class_raises_naming_the_frame():
         prefix_beam_search(e, None, DecoderConfig(prune_threshold=-0.1))
 
 
+@pytest.mark.parametrize("lm_weight, insertion_bonus", [(1e308, 0.0), (0.3, 1e308), (1e308, 1e308)])
+def test_overflowing_fused_score_raises_naming_the_frame(fusion_lm, lm_weight, insertion_bonus):
+    # Frame 2 extends ("d",) to ("d", "d"), whose fused score overflows to
+    # -inf, +inf or NaN (-inf + inf).
+    e = one_hot_emissions([3, 5, 3], V=5)
+    config = DecoderConfig(beam_width=4, lm_weight=lm_weight, insertion_bonus=insertion_bonus)
+    with pytest.raises(ValueError, match=r"^frame 2: fused score is not finite; lm_weight or insertion_bonus overflows$"):
+        prefix_beam_search(e, fusion_lm, config)
+
+
 def test_vocabulary_mismatch_raised(fusion_lm):
     e = one_hot_emissions([0], V=2, labels=("a", "zz"))
     with pytest.raises(VocabularyMismatch):

@@ -128,7 +128,7 @@ def test_confusion_map_matches_all_pairs_definition(tonal):
 @pytest.mark.parametrize("tonal", [True, False])
 def test_synth_matches_scalar_draw_reference(tonal, policy):
     # Drawing a frame's jitter in one vector call must give the matrices
-    # one scalar draw per entry gave, bit for bit.
+    # one scalar draw per entry gave, bit for bit, entry for entry.
     inventory = assets.default_inventory()
     alphabet = tuple(sorted(inventory.tonal_units if tonal else inventory.toneless_units))
     sequences = [["zhong1", "guo2", "guo2", "ren2", "e4"], ["ma3"], []]
@@ -136,13 +136,14 @@ def test_synth_matches_scalar_draw_reference(tonal, policy):
         sequences = [[strip_tone(unit) for unit in units] for units in sequences]
     for temperature in (0.0, 0.5, 2.5):
         for seed in (0, 7, 12345):
-            for frames_per_unit, blank_fill in ((3, 0.9), (2, 0.6)):
+            for frames_per_unit, blank_fill in ((3, 0.9), (2, 0.6), (3, 1.0)):
                 config = SimConfig(frames_per_unit=frames_per_unit, blank_fill=blank_fill,
                                    confusion_temperature=temperature, confusion_policy=policy, seed=seed)
                 for units in sequences:
                     got = synth_emissions(units, alphabet, config)
                     want = scalar_draw_synth_emissions(units, alphabet, config)
-                    assert np.array_equal(got.log_probs, want.log_probs), (temperature, seed, units)
+                    assert got.frames == want.frames, (temperature, seed, blank_fill, units)
+                    assert np.array_equal(got.log_probs, want.log_probs), (temperature, seed, blank_fill, units)
 
 
 def test_greedy_exact_below_pinned_temperature():
