@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import build_parallel
-from .pinyin import PronunciationLexicon, SyllableInventory, split_unit
+from .pinyin import PronunciationLexicon, SyllableInventory, _numbered_lines, split_unit
 
 # Full-scale Mandarin references, for context in reports (a desk-scale
 # bundle is intentionally smaller): 2020 tonal units, 408 toneless units.
@@ -57,7 +57,8 @@ class ManifestEntry:
 def read_manifest() -> list[ManifestEntry]:
     path = data_path("manifest.tsv")
     entries = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in _numbered_lines(path):
+        line = raw.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-import numpy as np
-
 from .ngram_lm import BOS, NGramModel
 
 NEG_INF = float("-inf")
@@ -122,8 +120,12 @@ class EmissionMatrix:
         return len(self.unit_labels)
 
     @property
-    def log_probs(self) -> np.ndarray:
-        """The dense T x (V+1) view, -inf where a class is not listed; built on each read."""
+    def log_probs(self) -> "numpy.ndarray":
+        """The dense T x (V+1) view, -inf where a class is not listed; built on
+        each read. It needs numpy, which nothing else in the package imports:
+        only the tests and ``bench/trace_child.py`` read it."""
+        import numpy as np
+
         grid = np.full((self.num_frames, self.num_units + 1), NEG_INF)
         for t, entries in enumerate(self.frames):
             grid[t, [c for c, _ in entries]] = [value for _, value in entries]

@@ -11,21 +11,23 @@ confusable classes:
     final-neighbor  same final (and tone, if tonal), different initial
     uniform         every other unit
 
-Randomness is confined to per-frame leak jitter drawn from numpy's seeded
-PCG64 generator, so a (sequence, config, alphabet) triple always produces
-the identical emissions.
+Randomness is confined to per-frame leak jitter, drawn from a pure-Python
+reimplementation of numpy's seeded PCG64 generator, so a (sequence, config,
+alphabet) triple always produces the identical emissions. Rows are summed
+the way numpy sums them, so every probability is bit for bit what numpy's
+``default_rng`` and ``sum`` would give; only the final ``log10`` is the C
+library's (``math.log10``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
-from .ctc import EmissionMatrix
+from .ctc import NEG_INF, EmissionMatrix
 from .pinyin import InvalidSyllable, split_unit
 
 POLICIES = ("tone-neighbor", "final-neighbor", "uniform")
@@ -33,6 +35,11 @@ POLICIES = ("tone-neighbor", "final-neighbor", "uniform")
 _CONFUSION_LEAK = 0.5   # total unnormalized confusable mass at temperature 1
 _BLANK_LEAK = 0.15      # unnormalized blank mass inside unit frames at temperature 1
 _JITTER = (0.5, 1.5)    # per-entry multiplicative jitter range
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG's default 128-bit LCG multiplier
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,140 @@ def _alphabet_index(alphabet: tuple[str, ...]) -> dict[str, int]:
     return {label: i for i, label in enumerate(alphabet)}
 
 
+def _seed_words(seed: int) -> list[int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, numpy.uint64)``: the
+    seed's 32-bit words, low first, hashed into a pool of four and mixed,
+    then eight 32-bit outputs of the pool paired low word first."""
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[2 * i] | words[2 * i + 1] << 32 for i in range(4)]
+
+
+def _uniform_stream(seed: int, low: float, high: float):
+    """``draw(k)``, the next k floats of ``numpy.random.default_rng(seed).uniform(low,
+    high)``, bit for bit. The generator is PCG64 (O'Neill 2014): a 128-bit LCG
+    stepped before each output, which is the XSL-RR 64-bit permutation of its
+    state; an output's top 53 bits make a double in [0, 1)."""
+    words = _seed_words(seed)
+    # pcg64_set_seed: words 0-1 are the initial state, words 2-3 the stream.
+    increment = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    state = ((increment + (words[0] << 64 | words[1])) * _PCG_MULT + increment) & _MASK128
+    span = high - low
+
+    def draw(k: int) -> list[float]:
+        nonlocal state
+        s, out = state, []
+        for _ in range(k):
+            s = (s * _PCG_MULT + increment) & _MASK128
+            x = (s >> 64 ^ s) & _MASK64
+            rot = s >> 122
+            out.append(low + span * ((((x >> rot | x << 64 - rot) & _MASK64) >> 11) * 2.0 ** -53))
+        state = s
+        return out
+
+    return draw
+
+
+@lru_cache(maxsize=8)
+def _pairwise_codes(n: int) -> tuple[int, ...]:
+    """Where numpy's pairwise sum of n doubles adds column c: its path from
+    the root of the addition tree (bit 0 left, 1 right), left-aligned to one
+    width. Codes sort in addition order, and the XOR of two is shorter the
+    deeper their paths part.
+
+    numpy splits a run longer than 128 at ``n//2 - (n//2) % 8``. A shorter run
+    of at least 8 sums eight strided accumulators, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the rest one by one; a run of
+    fewer than 8 is added one by one onto 0.0."""
+    paths: list[tuple[int, int]] = [(0, 0)] * n   # (bits, depth)
+
+    def chain(columns, bits, depth, first_is_leaf):
+        # ((x0 + x1) + x2) + ...: the last term hangs right of the root, the
+        # one before it right of its left child, and so on down.
+        for i, col in enumerate(columns):
+            lefts = len(columns) - 1 - i
+            if i == 0 and first_is_leaf:
+                paths[col] = (bits << lefts, depth + lefts)
+            else:
+                paths[col] = ((bits << lefts) << 1 | 1, depth + lefts + 1)
+
+    def walk(start, length, bits, depth):
+        if length > 128:
+            half = length // 2 - (length // 2) % 8
+            walk(start, half, bits << 1, depth + 1)
+            walk(start + half, length - half, bits << 1 | 1, depth + 1)
+            return
+        unrolled = length - length % 8 if length >= 8 else 0
+        tail = range(start + unrolled, start + length)
+        chain(tail, bits, depth, first_is_leaf=False)   # onto the accumulators, or onto 0.0
+        for j in range(8 if unrolled else 0):
+            chain(range(start + j, start + unrolled, 8), bits << len(tail) + 3 | j, depth + len(tail) + 3, True)
+
+    walk(0, n, 1, 0)
+    width = max(depth for _, depth in paths)
+    return tuple(bits << width - depth for bits, depth in paths)
+
+
+@lru_cache(maxsize=4096)
+def _sum_tree(n: int, columns: tuple[int, ...]) -> tuple:
+    """How numpy's pairwise sum of a row of n adds the entries at ``columns``
+    when every other entry is 0.0. A tuple is summed left to right, and each
+    term is a tuple or the position of an entry in ``columns``. Adding 0.0
+    is exact, so the additions only zeros feed drop out."""
+    codes = _pairwise_codes(n)
+    order = sorted(range(len(columns)), key=lambda k: codes[columns[k]])
+    stack, parts = [], []   # parts[i]: how near the root stack[i] and stack[i+1] part
+    for i, k in enumerate(order):
+        stack.append((k,))
+        after = (codes[columns[k]] ^ codes[columns[order[i + 1]]]).bit_length() if i + 1 < len(order) else math.inf
+        while parts and parts[-1] < after:   # the pair before parts deeper down, so it is added first
+            parts.pop()
+            right = stack.pop()
+            stack[-1] += (right if len(right) > 1 else right[0],)
+        parts.append(after)
+    return stack[0] if stack else ()
+
+
+def _add(tree: tuple, values: list[float]) -> float:
+    """The sum ``tree`` describes over ``values``; starting from 0.0 is exact,
+    since no weight is -0.0."""
+    total = 0.0
+    for term in tree:
+        total += values[term] if term.__class__ is int else _add(term, values)
+    return total
+
+
 def synth_emissions(
     pinyin: Sequence[str],
     alphabet: Sequence[str],
@@ -104,51 +245,49 @@ def synth_emissions(
     V = len(alphabet)
     blank = V
     tau = config.confusion_temperature
-    rng = np.random.default_rng(config.seed)
+    draw = _uniform_stream(config.seed, *_JITTER)
     neighbors = confusion_map(alphabet, config.confusion_policy) if tau > 0 else {}
 
-    # Position p owns grid rows p*span to (p+1)*span-1, the last its release
-    # frame. A row holds its frame's weights; its nonzero entries are the frame.
-    span = config.frames_per_unit + 1
-    grid = np.zeros((max(1, len(labels) * span), V + 1))
+    # Each frame as (how numpy sums its row, its columns ascending, the weights there).
+    rows = []
     if not labels:
-        grid[0, blank] = 1.0
+        rows.append((_sum_tree(V + 1, (blank,)), (blank,), [1.0]))
     for pos, label in enumerate(labels):
         unit_index = index[label]
-        confusable = neighbors.get(label, ())
-        for weights in grid[pos * span:(pos + 1) * span - 1]:
-            weights[unit_index] = 1.0
-            if tau > 0:
+        if tau > 0:
+            confusable = neighbors[label]
+            split = bisect_left(confusable, unit_index)
+            columns = (*confusable[:split], unit_index, *confusable[split:], blank)
+            tree = _sum_tree(V + 1, columns)
+            share = tau * _CONFUSION_LEAK / len(confusable) if confusable else 0.0
+            for _ in range(config.frames_per_unit):
                 # One call draws every jitter of the frame: each neighbour's
-                # in ascending order, then the blank's. Vector draws take the
-                # same stream as one scalar draw each.
-                draws = rng.uniform(*_JITTER, size=len(confusable) + 1)
-                if confusable:
-                    share = tau * _CONFUSION_LEAK / len(confusable)
-                    weights[list(confusable)] = share * draws[:-1]
-                weights[blank] = tau * _BLANK_LEAK * draws[-1]
+                # in ascending order, then the blank's.
+                draws = draw(len(confusable) + 1)
+                values = [share * d for d in draws[:-1]]
+                values.insert(split, 1.0)
+                values.append(tau * _BLANK_LEAK * draws[-1])
+                rows.append((tree, columns, values))
+        else:
+            rows += [(_sum_tree(V + 1, (unit_index,)), (unit_index,), [1.0])] * config.frames_per_unit
         # The release frame: blank-dominant, leaking onto both neighbours.
         next_index = index[labels[pos + 1]] if pos + 1 < len(labels) else None
-        weights = grid[(pos + 1) * span - 1]
-        weights[blank] = config.blank_fill
+        weights = {blank: config.blank_fill}
         if tau > 0:
             leak = tau * (1.0 - config.blank_fill) * 0.5
-            draws = rng.uniform(*_JITTER, size=1 if next_index is None else 2)
-            weights[unit_index] += leak * draws[0]
+            draws = draw(1 if next_index is None else 2)
+            weights[unit_index] = leak * draws[0]
             if next_index is not None:
-                weights[next_index] += leak * draws[1]
+                weights[next_index] = weights.get(next_index, 0.0) + leak * draws[1]
+        columns = tuple(sorted(weights))
+        rows.append((_sum_tree(V + 1, columns), columns, [weights[c] for c in columns]))
 
-    # Search only the columns a frame can set, ascending to keep class order;
-    # a zero leak (blank_fill 1) drops out. The denominators sum full rows: a
-    # narrower row would round differently.
-    touched = {blank}
-    for label in set(labels):
-        touched.update((index[label], *neighbors.get(label, ())))
-    columns = np.array(sorted(touched))
-    rows, at = np.nonzero(grid[:, columns])
-    cols = columns[at]
-    log_probs = np.log10(grid[rows, cols] / grid.sum(axis=1)[rows])
-    pairs = list(zip(cols.tolist(), log_probs.tolist()))
-    bounds = np.searchsorted(rows, np.arange(len(grid) + 1)).tolist()
-    frames = [pairs[start:end] for start, end in zip(bounds, bounds[1:])]
+    # log10 of each nonzero weight's share of its row; a zero leak (blank_fill
+    # 1) drops out, and a row sum that overflows leaves -inf or NaN for
+    # EmissionMatrix to name.
+    frames = []
+    for tree, columns, values in rows:
+        total = _add(tree, values)
+        frames.append([(c, math.log10(share) if (share := w / total) else NEG_INF)
+                       for c, w in zip(columns, values) if w])
     return EmissionMatrix(frames, unit_labels=alphabet, blank_index=blank)

@@ -6,6 +6,7 @@ a library path and its oracle agree, each vouches for the other.
 """
 
 import heapq
+import math
 import weakref
 from functools import lru_cache
 from itertools import product
@@ -492,8 +493,7 @@ def scalar_draw_synth_emissions(pinyin, alphabet, config):
         next_index = index[labels[pos + 1]] if pos + 1 < len(labels) else None
         release_frame(unit_index, next_index)
 
-    with np.errstate(divide="ignore"):
-        log_probs = np.log10(np.vstack(rows))
+    log_probs = [[math.log10(p) if p else NEG_INF for p in row.tolist()] for row in rows]
     return dense_emissions(log_probs, unit_labels=alphabet, blank_index=blank)
 
 

@@ -215,6 +215,18 @@ def test_manifest_line_with_two_fields_names_its_line(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == f"error: {manifest}:{lineno}: expected 3 tab-separated fields\n"
 
 
+def test_manifest_that_is_not_utf8_is_named(tmp_path, monkeypatch, capsys):
+    data_dir = Path(assets.data_path("manifest.tsv")).parent
+    workdir = tmp_path / "data"
+    shutil.copytree(data_dir, workdir)
+    manifest = workdir / "manifest.tsv"
+    with manifest.open("ab") as fh:
+        fh.write(b"\xff\n")
+    monkeypatch.setattr(assets, "data_path", lambda name: workdir / name)
+    assert main(["validate-assets"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ") and "can't decode byte 0xff" in err
+
 def test_importing_assets_loads_no_numpy_and_no_search_module():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -683,3 +686,25 @@ def test_eval_corpus_that_filters_to_nothing_exits_2(tmp_path, capsys):
                    "0 repeated, 0 with a character the lexicon lacks\n"
                    "config error: evaluation corpus is empty after filtering\n")
     assert not out_dir.exists()
+
+
+def test_synth_decode_and_pipeline_load_no_numpy(tmp_path):
+    # numpy is a test dependency: one stray import would cost every run its start-up.
+    sentence = next(s for s in assets.read_sentences("corpus_heldout.txt") if 5 <= len(s) <= 40)
+    corpus = tmp_path / "one.txt"
+    corpus.write_text(sentence + "\n", encoding="utf-8")
+    em, out = str(tmp_path / "em"), str(tmp_path / "out")
+    common = ["--eval-corpus", str(corpus), "--temperature", "2.5"]
+    script = (
+        "import sys\n"
+        "from pinasr.cli import main\n"
+        f"assert main({['synth', *common, '--out-dir', em]!r}) == 0\n"
+        f"assert main({['decode', '--emissions', em]!r}) == 0\n"
+        f"assert main({['pipeline', *common, '--out-dir', out]!r}) == 0\n"
+        "print('numpy loaded:', sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "numpy loaded: []"

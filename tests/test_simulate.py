@@ -11,7 +11,7 @@ from pinasr.cli import Pipeline, PipelineConfig
 from pinasr.corpus import build_parallel
 from pinasr.ctc import greedy_decode
 from pinasr.pinyin import InvalidSyllable, strip_tone
-from pinasr.simulate import POLICIES, SimConfig, confusion_map, synth_emissions
+from pinasr.simulate import POLICIES, SimConfig, _add, _sum_tree, _uniform_stream, confusion_map, synth_emissions
 from reference_impls import all_pairs_confusion_map, scalar_draw_synth_emissions, sequence_logprob
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
@@ -145,6 +145,66 @@ def test_synth_matches_scalar_draw_reference(tonal, policy):
                     assert got.frames == want.frames, (temperature, seed, blank_fill, units)
                     assert np.array_equal(got.log_probs, want.log_probs), (temperature, seed, blank_fill, units)
 
+
+
+def _chunks(data, total):
+    """``total`` split into consecutive call sizes, some of them 0."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=4)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_uniform_stream_matches_numpy_at_edge_seeds(seed, data):
+    # 2**32 and up take more than one 32-bit word of SeedSequence entropy.
+    k = data.draw(st.integers(0, 50))
+    draw = _uniform_stream(seed, 0.5, 1.5)
+    got = [x for size in _chunks(data, k) for x in draw(size)]
+    assert got == np.random.default_rng(seed).uniform(0.5, 1.5, size=k).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**128), data=st.data())
+def test_uniform_stream_matches_numpy(seed, data):
+    k = data.draw(st.integers(0, 50))
+    draw = _uniform_stream(seed, 0.5, 1.5)
+    got = [x for size in _chunks(data, k) for x in draw(size)]
+    assert got == np.random.default_rng(seed).uniform(0.5, 1.5, size=k).tolist()
+
+
+def _sparse_sum(n, entries):
+    """numpy's sum of a zero row of n with ``entries`` added in, and the sparse sum of the same row."""
+    dense, weights = np.zeros(n), {}
+    with np.errstate(over="ignore"):   # an overflowing row sums to inf both ways
+        for c, w in entries:
+            dense[c] += w
+            weights[c] = weights.get(c, 0.0) + w
+        want = float(dense.sum())
+    columns = tuple(sorted(weights))
+    return want, _add(_sum_tree(n, columns), [weights[c] for c in columns])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sparse_row_sum_matches_numpy(data):
+    # Rows under 8 are one run added onto 0.0, rows of 8 to 128 one run of
+    # eight accumulators, longer rows split; repeated columns merge as += does.
+    n = data.draw(st.one_of(st.integers(1, 130), st.integers(1, 2000)))
+    weight = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    entries = data.draw(st.lists(st.tuples(st.integers(0, n - 1), weight), max_size=n))
+    want, got = _sparse_sum(n, entries)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 257, 411, 1651, 2000])
+def test_dense_and_half_full_rows_sum_as_numpy(n):
+    rng = np.random.default_rng(n)
+    for fill in (1.0, 0.5, 0.05):
+        columns = np.flatnonzero(rng.random(n) < fill).tolist()
+        values = rng.uniform(0.0, 3.0, size=len(columns)) * 10.0 ** rng.integers(-8, 8, size=len(columns))
+        want, got = _sparse_sum(n, zip(columns, values.tolist()))
+        assert got == want, fill
 
 def test_greedy_exact_below_pinned_temperature():
     # Established by scripts/noise_sweep.py and pinned: at this temperature
