@@ -159,64 +159,42 @@ def _uniform_stream(seed: int, low: float, high: float):
     return draw
 
 
-@lru_cache(maxsize=8)
-def _pairwise_codes(n: int) -> tuple[int, ...]:
-    """Where numpy's pairwise sum of n doubles adds column c: its path from
-    the root of the addition tree (bit 0 left, 1 right), left-aligned to one
-    width. Codes sort in addition order, and the XOR of two is shorter the
-    deeper their paths part.
+@lru_cache(maxsize=1024)
+def _sum_tree(n: int, columns: tuple[int, ...]) -> tuple:
+    """How numpy's pairwise sum adds a row of n weights that is nonzero only
+    at ``columns`` (ascending): a tuple summed left to right, each term a
+    tuple or the position of an entry in ``columns``.
 
-    numpy splits a run longer than 128 at ``n//2 - (n//2) % 8``. A shorter run
-    of at least 8 sums eight strided accumulators, combines them as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the rest one by one; a run of
-    fewer than 8 is added one by one onto 0.0."""
-    paths: list[tuple[int, int]] = [(0, 0)] * n   # (bits, depth)
+    numpy splits a run longer than 128 at ``n//2 - (n//2) % 8``. A shorter
+    run of at least 8 sums eight strided accumulators, adds them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by one; a run of
+    fewer than 8 is added one by one onto 0.0. Adding 0.0 is exact, so each
+    addition that only zeros feed drops out."""
 
-    def chain(columns, bits, depth, first_is_leaf):
-        # ((x0 + x1) + x2) + ...: the last term hangs right of the root, the
-        # one before it right of its left child, and so on down.
-        for i, col in enumerate(columns):
-            lefts = len(columns) - 1 - i
-            if i == 0 and first_is_leaf:
-                paths[col] = (bits << lefts, depth + lefts)
-            else:
-                paths[col] = ((bits << lefts) << 1 | 1, depth + lefts + 1)
+    def join(left, right):   # left + right; None is a sum of zeros
+        if left is None or right is None:
+            return right if left is None else left
+        return left + (right,) if left.__class__ is tuple else (left, right)
 
-    def walk(start, length, bits, depth):
+    def run(lo, length, first, last):   # entries first..last-1 lie in [lo, lo + length)
+        if first == last:
+            return None
         if length > 128:
             half = length // 2 - (length // 2) % 8
-            walk(start, half, bits << 1, depth + 1)
-            walk(start + half, length - half, bits << 1 | 1, depth + 1)
-            return
-        unrolled = length - length % 8 if length >= 8 else 0
-        tail = range(start + unrolled, start + length)
-        chain(tail, bits, depth, first_is_leaf=False)   # onto the accumulators, or onto 0.0
-        for j in range(8 if unrolled else 0):
-            chain(range(start + j, start + unrolled, 8), bits << len(tail) + 3 | j, depth + len(tail) + 3, True)
+            split = bisect_left(columns, lo + half, first, last)
+            return join(run(lo, half, first, split), run(lo + half, length - half, split, last))
+        tail = bisect_left(columns, lo + length - length % 8, first, last) if length >= 8 else first
+        r = [None] * 8   # the accumulators
+        for k in range(first, tail):
+            slot = (columns[k] - lo) % 8
+            r[slot] = join(r[slot], k)
+        total = join(join(join(r[0], r[1]), join(r[2], r[3])), join(join(r[4], r[5]), join(r[6], r[7])))
+        for k in range(tail, last):
+            total = join(total, k)
+        return total
 
-    walk(0, n, 1, 0)
-    width = max(depth for _, depth in paths)
-    return tuple(bits << width - depth for bits, depth in paths)
-
-
-@lru_cache(maxsize=4096)
-def _sum_tree(n: int, columns: tuple[int, ...]) -> tuple:
-    """How numpy's pairwise sum of a row of n adds the entries at ``columns``
-    when every other entry is 0.0. A tuple is summed left to right, and each
-    term is a tuple or the position of an entry in ``columns``. Adding 0.0
-    is exact, so the additions only zeros feed drop out."""
-    codes = _pairwise_codes(n)
-    order = sorted(range(len(columns)), key=lambda k: codes[columns[k]])
-    stack, parts = [], []   # parts[i]: how near the root stack[i] and stack[i+1] part
-    for i, k in enumerate(order):
-        stack.append((k,))
-        after = (codes[columns[k]] ^ codes[columns[order[i + 1]]]).bit_length() if i + 1 < len(order) else math.inf
-        while parts and parts[-1] < after:   # the pair before parts deeper down, so it is added first
-            parts.pop()
-            right = stack.pop()
-            stack[-1] += (right if len(right) > 1 else right[0],)
-        parts.append(after)
-    return stack[0] if stack else ()
+    tree = run(0, n, 0, len(columns))
+    return tree if tree.__class__ is tuple else join((), tree)   # () is the empty sum
 
 
 def _add(tree: tuple, values: list[float]) -> float:
