@@ -227,6 +227,7 @@ def test_manifest_that_is_not_utf8_is_named(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: ") and "can't decode byte 0xff" in err
 
+
 def test_importing_assets_loads_no_numpy_and_no_search_module():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

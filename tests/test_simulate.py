@@ -146,7 +146,6 @@ def test_synth_matches_scalar_draw_reference(tonal, policy):
                     assert np.array_equal(got.log_probs, want.log_probs), (temperature, seed, blank_fill, units)
 
 
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**128), sizes=st.lists(st.integers(0, 10), max_size=5))
 @example(seed=0, sizes=[50])
