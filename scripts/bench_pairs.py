@@ -6,12 +6,14 @@
 PARENT_DIR and CHANGE_DIR are two git checkouts. For every workload and seed,
 ``bench/run.py --trace 0`` runs once in each, one after the other; the side
 that goes first alternates from seed to seed, so a slow or fast period of
-the host falls on both sides alike. Then one ``--trace 1`` run per workload
-on the change gives its per-layer figures. The benchmark fixes each run's
-length. Every run's details and result lines go into the output JSON,
-under each side's git commit, with a per-workload summary of the
-end-to-end metrics: the medians of both sides, the quartiles of the
-parent's runs and how many pairs the change won.
+the host falls on both sides alike. Then ``--trace 1`` runs in pairs the
+same way at seeds 1-5 for the per-layer figures. The benchmark fixes each
+run's length. Every run's details and result lines go into the output JSON,
+under each side's git commit, with a per-workload summary of every metric:
+end-to-end ones from the untraced pairs, per-layer ones from the traced
+pairs. A timing gets the medians of both sides, the quartiles of the
+parent's runs and how many pairs the change won; a count is deterministic,
+so it gets each side's value at every seed and whether they are equal.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 from statistics import median, quantiles
 
 WORKLOADS = ("tonal-lm", "toneless-nolm", "em-roundtrip")
-TRACE_SEED = 3   # the workload seed of the traced runs
+TRACE_SEEDS = range(1, 6)   # the workload seeds of the traced pairs
 
 
 def commit(checkout: Path) -> str:
@@ -46,13 +48,14 @@ def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return run
 
 
-def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and end-to-end metric: both sides' medians, the parent's
-    quartiles and the pairs (same seed) in which the change was better."""
+def summarize(runs: list[dict], metrics: list[dict], trace: int) -> dict:
+    """Per workload and metric, over the pairs (same seed) run at ``trace``:
+    both sides' medians, the parent's quartiles and the pairs in which the
+    change was better; for a count, both sides' values by seed."""
     summary = {}
     for workload in WORKLOADS:
         by_side = {side: {r["seed"]: r["result"]["metrics"] for r in runs
-                          if r["side"] == side and r["workload"] == workload and r["trace"] == 0 and "result" in r}
+                          if r["side"] == side and r["workload"] == workload and r["trace"] == trace and "result" in r}
                    for side in ("parent", "change")}
         seeds = sorted(set(by_side["parent"]) & set(by_side["change"]))
         if not seeds:
@@ -62,12 +65,16 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             name, lower = metric["name"], metric["better"] == "lower"
             parent = [by_side["parent"][s][name]["value"] for s in seeds]
             change = [by_side["change"][s][name]["value"] for s in seeds]
+            if metric["unit"] == "count":
+                entry[name] = {"parent": dict(zip(seeds, parent)), "change": dict(zip(seeds, change)),
+                               "equal": parent == change}
+                continue
             won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
             entry[name] = {
                 "parent_median": median(parent),
                 "parent_quartiles": quantiles(parent, n=4)[::2] if len(parent) > 1 else parent * 2,
                 "change_median": median(change),
-                "relative_change": median(change) / median(parent) - 1.0,
+                "relative_change": median(change) / median(parent) - 1.0 if median(parent) else None,
                 "pairs_won": won,
             }
         summary[workload] = entry
@@ -98,16 +105,16 @@ def main(argv=None) -> int:
         status = "ok" if "result" in run and run["result"]["correct"] else "FAILED"
         print(f"{run['workload']} seed {run['seed']} trace {run['trace']} {side}: {status}", flush=True)
 
-    for workload in WORKLOADS:
-        for seed in range(1, args.seeds + 1):
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
-                keep(side, bench(checkouts[side], workload, seed, 0))
-    for workload in WORKLOADS:
-        keep("change", bench(checkouts["change"], workload, TRACE_SEED, 1))
+    for trace, seeds in ((0, range(1, args.seeds + 1)), (1, TRACE_SEEDS)):
+        for workload in WORKLOADS:
+            for seed in seeds:
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                for side in order:
+                    keep(side, bench(checkouts[side], workload, seed, trace))
 
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    record["summary"] = summarize(record["runs"], spec["end_to_end"])
+    record["summary"] = {"end_to_end": summarize(record["runs"], spec["end_to_end"], 0),
+                         "per_layer": summarize(record["runs"], spec["per_layer"], 1)}
     args.out.write_text(json.dumps(record, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")
     failed = [r for r in record["runs"] if "result" not in r or not r["result"]["correct"]]
     print(json.dumps(record["summary"], indent=1))

@@ -138,15 +138,11 @@ class PronunciationLexicon:
     """
 
     def __init__(self, entries: dict[str, Sequence[tuple[str, float]]]):
-        self._entries: dict[str, tuple[tuple[str, float], ...]] = {}
-        for char, readings in entries.items():
-            if not readings:
-                raise ValueError(f"empty reading list for {char!r}")
-            for unit, weight in readings:
-                if not 0 < weight < math.inf:   # NaN fails both comparisons
-                    raise ValueError(f"non-positive or non-finite weight {weight} for {char!r} {unit}")
-            ordered = tuple(sorted(readings, key=lambda rw: (-rw[1], rw[0])))
-            self._entries[char] = ordered
+        """``entries`` maps each character to its readings, each with a
+        positive finite weight; :meth:`from_file` checks a file's."""
+        self._entries: dict[str, tuple[tuple[str, float], ...]] = {
+            char: tuple(sorted(readings, key=lambda rw: (-rw[1], rw[0]))) for char, readings in entries.items()
+        }
         # Homophone indexes: unit string -> list of (char, P(reading | char)).
         tonal_index: dict[str, list[tuple[str, float]]] = {}
         toneless_index: dict[str, list[tuple[str, float]]] = {}

@@ -13,10 +13,11 @@ confusable classes:
 
 Randomness is confined to per-frame leak jitter, drawn from a pure-Python
 reimplementation of numpy's seeded PCG64 generator, so a (sequence, config,
-alphabet) triple always produces the identical emissions. Rows are summed
-the way numpy sums them, so every probability is bit for bit what numpy's
-``default_rng`` and ``sum`` would give; only the final ``log10`` is the C
-library's (``math.log10``).
+alphabet) triple always produces the identical emissions. Each row is
+summed with ``math.fsum``, which is correctly rounded on IEEE-754 hosts and
+independent of the order of its terms, so every probability is the exact
+weight over the correctly rounded row total; only the final ``log10`` is
+the C library's (``math.log10``).
 """
 
 from __future__ import annotations
@@ -159,51 +160,17 @@ def _uniform_stream(seed: int, low: float, high: float):
     return draw
 
 
-@lru_cache(maxsize=1024)
-def _sum_tree(n: int, columns: tuple[int, ...]) -> tuple:
-    """How numpy's pairwise sum adds a row of n weights that is nonzero only
-    at ``columns`` (ascending): a tuple summed left to right, each term a
-    tuple or the position of an entry in ``columns``.
-
-    numpy splits a run longer than 128 at ``n//2 - (n//2) % 8``. A shorter
-    run of at least 8 sums eight strided accumulators, adds them as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by one; a run of
-    fewer than 8 is added one by one onto 0.0. Adding 0.0 is exact, so each
-    addition that only zeros feed drops out."""
-
-    def join(left, right):   # left + right; None is a sum of zeros
-        if left is None or right is None:
-            return right if left is None else left
-        return left + (right,) if left.__class__ is tuple else (left, right)
-
-    def run(lo, length, first, last):   # entries first..last-1 lie in [lo, lo + length)
-        if first == last:
-            return None
-        if length > 128:
-            half = length // 2 - (length // 2) % 8
-            split = bisect_left(columns, lo + half, first, last)
-            return join(run(lo, half, first, split), run(lo + half, length - half, split, last))
-        tail = bisect_left(columns, lo + length - length % 8, first, last) if length >= 8 else first
-        r = [None] * 8   # the accumulators
-        for k in range(first, tail):
-            slot = (columns[k] - lo) % 8
-            r[slot] = join(r[slot], k)
-        total = join(join(join(r[0], r[1]), join(r[2], r[3])), join(join(r[4], r[5]), join(r[6], r[7])))
-        for k in range(tail, last):
-            total = join(total, k)
-        return total
-
-    tree = run(0, n, 0, len(columns))
-    return tree if tree.__class__ is tuple else join((), tree)   # () is the empty sum
-
-
-def _add(tree: tuple, values: list[float]) -> float:
-    """The sum ``tree`` describes over ``values``; starting from 0.0 is exact,
-    since no weight is -0.0."""
-    total = 0.0
-    for term in tree:
-        total += values[term] if term.__class__ is int else _add(term, values)
-    return total
+def _log_shares(columns, values: list[float]) -> list[tuple[int, float]]:
+    """``(column, log10 of its weight's share of the row)`` for each nonzero
+    weight; a zero leak (blank_fill 1) drops out. The row total is
+    ``math.fsum``, correctly rounded whatever the order. Finite weights whose
+    exact sum is past the float range total inf, so every share is -inf and
+    EmissionMatrix names the frame; an inf weight leaves NaN."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    return [(c, math.log10(share) if (share := w / total) else NEG_INF) for c, w in zip(columns, values) if w]
 
 
 def synth_emissions(
@@ -226,17 +193,15 @@ def synth_emissions(
     draw = _uniform_stream(config.seed, *_JITTER)
     neighbors = confusion_map(alphabet, config.confusion_policy) if tau > 0 else {}
 
-    # Each frame as (how numpy sums its row, its columns ascending, the weights there).
-    rows = []
+    frames = []
     if not labels:
-        rows.append((_sum_tree(V + 1, (blank,)), (blank,), [1.0]))
+        frames.append([(blank, 0.0)])
     for pos, label in enumerate(labels):
         unit_index = index[label]
         if tau > 0:
             confusable = neighbors[label]
             split = bisect_left(confusable, unit_index)
             columns = (*confusable[:split], unit_index, *confusable[split:], blank)
-            tree = _sum_tree(V + 1, columns)
             share = tau * _CONFUSION_LEAK / len(confusable) if confusable else 0.0
             for _ in range(config.frames_per_unit):
                 # One call draws every jitter of the frame: each neighbour's
@@ -245,9 +210,9 @@ def synth_emissions(
                 values = [share * d for d in draws[:-1]]
                 values.insert(split, 1.0)
                 values.append(tau * _BLANK_LEAK * draws[-1])
-                rows.append((tree, columns, values))
+                frames.append(_log_shares(columns, values))
         else:
-            rows += [(_sum_tree(V + 1, (unit_index,)), (unit_index,), [1.0])] * config.frames_per_unit
+            frames += [[(unit_index, 0.0)]] * config.frames_per_unit
         # The release frame: blank-dominant, leaking onto both neighbours.
         next_index = index[labels[pos + 1]] if pos + 1 < len(labels) else None
         weights = {blank: config.blank_fill}
@@ -257,15 +222,6 @@ def synth_emissions(
             weights[unit_index] = leak * draws[0]
             if next_index is not None:
                 weights[next_index] = weights.get(next_index, 0.0) + leak * draws[1]
-        columns = tuple(sorted(weights))
-        rows.append((_sum_tree(V + 1, columns), columns, [weights[c] for c in columns]))
-
-    # log10 of each nonzero weight's share of its row; a zero leak (blank_fill
-    # 1) drops out, and a row sum that overflows leaves -inf or NaN for
-    # EmissionMatrix to name.
-    frames = []
-    for tree, columns, values in rows:
-        total = _add(tree, values)
-        frames.append([(c, math.log10(share) if (share := w / total) else NEG_INF)
-                       for c, w in zip(columns, values) if w])
+        columns = sorted(weights)
+        frames.append(_log_shares(columns, [weights[c] for c in columns]))
     return EmissionMatrix(frames, unit_labels=alphabet, blank_index=blank)

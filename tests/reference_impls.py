@@ -470,7 +470,7 @@ def scalar_draw_synth_emissions(pinyin, alphabet, config):
                 for c in confusable:
                     weights[c] = share * jitter()
             weights[blank] = tau * _BLANK_LEAK * jitter()
-        rows.append(weights / weights.sum())
+        rows.append(weights / math.fsum(weights.tolist()))
 
     def release_frame(prev_index, next_index):
         weights = np.zeros(V + 1)
@@ -480,7 +480,7 @@ def scalar_draw_synth_emissions(pinyin, alphabet, config):
             weights[prev_index] += leak * jitter()
             if next_index is not None:
                 weights[next_index] += leak * jitter()
-        rows.append(weights / weights.sum())
+        rows.append(weights / math.fsum(weights.tolist()))
 
     if not labels:
         weights = np.zeros(V + 1)

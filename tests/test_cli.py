@@ -441,6 +441,18 @@ def test_overflowing_fused_score_stops_the_pipeline_naming_the_frame(tmp_path, s
                    "lm_weight or insertion_bonus overflows\n")
 
 
+def test_release_row_whose_sum_overflows_fails_naming_the_frame(tmp_path, capsys):
+    # Frame 7, the second release frame, leaks about 8.4e307 times a jitter
+    # in [0.5, 1.5) onto each of two classes: finite weights whose exact sum
+    # is past the float range. Its total is inf, so every share is -inf.
+    corpus = tmp_path / "one.txt"
+    write_sentences(corpus, assets.read_sentences("corpus_train.txt")[:1])
+    code, out, err = run(capsys, "pipeline", "--eval-corpus", str(corpus), "--temperature", "1.7e308",
+                         "--blank-fill", "0.01", "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err == "error: stage=synthesize utt=0: frame 7 class 795 value -inf is not finite\n"
+
+
 def test_pipeline_reports_dropped_sentences_on_stderr(tmp_path, capsys):
     # Three kept sentences, a repeat, one with a character the lexicon lacks
     # and one below min_len: the report covers the three, stderr counts the rest.

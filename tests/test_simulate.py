@@ -11,7 +11,7 @@ from pinasr.cli import Pipeline, PipelineConfig
 from pinasr.corpus import build_parallel
 from pinasr.ctc import greedy_decode
 from pinasr.pinyin import InvalidSyllable, strip_tone
-from pinasr.simulate import POLICIES, SimConfig, _add, _sum_tree, _uniform_stream, confusion_map, synth_emissions
+from pinasr.simulate import POLICIES, SimConfig, _uniform_stream, confusion_map, synth_emissions
 from reference_impls import all_pairs_confusion_map, scalar_draw_synth_emissions, sequence_logprob
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
@@ -158,41 +158,6 @@ def test_uniform_stream_matches_numpy(seed, sizes):
     got = [x for size in sizes for x in draw(size)]
     assert got == np.random.default_rng(seed).uniform(0.5, 1.5, size=sum(sizes)).tolist()
 
-
-def _sparse_sum(n, entries):
-    """numpy's sum of a zero row of n with ``entries`` added in, and the sparse sum of the same row."""
-    dense, weights = np.zeros(n), {}
-    with np.errstate(over="ignore"):   # an overflowing row sums to inf both ways
-        for c, w in entries:
-            dense[c] += w
-            weights[c] = weights.get(c, 0.0) + w
-        want = float(dense.sum())
-    columns = tuple(sorted(weights))
-    return want, _add(_sum_tree(n, columns), [weights[c] for c in columns])
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_sparse_row_sum_matches_numpy(data):
-    # Rows under 8 are one run added onto 0.0, rows of 8 to 128 one run of
-    # eight accumulators, longer rows split; repeated columns merge as += does.
-    n = data.draw(st.one_of(st.integers(1, 130), st.integers(1, 2000)))
-    weight = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    entries = data.draw(st.lists(st.tuples(st.integers(0, n - 1), weight), max_size=n))
-    want, got = _sparse_sum(n, entries)
-    assert got == want
-
-
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 257, 411, 1651, 2000])
-def test_full_half_and_strided_rows_sum_as_numpy(n):
-    # One column in eight fills a single accumulator, so its order of
-    # additions decides the total.
-    rng = np.random.default_rng(n)
-    for columns in (range(n), np.flatnonzero(rng.random(n) < 0.5).tolist(), range(3 % n, n, 8)):
-        for spread in (0, 6):
-            values = rng.uniform(0.5, 1.5, size=len(columns)) * 10.0 ** rng.integers(-spread, spread + 1, size=len(columns))
-            want, got = _sparse_sum(n, zip(columns, values.tolist()))
-            assert got == want, (columns, spread)
 
 def test_greedy_exact_below_pinned_temperature():
     # Established by scripts/noise_sweep.py and pinned: at this temperature
