@@ -15,9 +15,9 @@ Randomness is confined to per-frame leak jitter, drawn from a pure-Python
 reimplementation of numpy's seeded PCG64 generator, so a (sequence, config,
 alphabet) triple always produces the identical emissions. Each row is
 summed with ``math.fsum``, which is correctly rounded on IEEE-754 hosts and
-independent of the order of its terms, so every probability is the exact
-weight over the correctly rounded row total; only the final ``log10`` is
-the C library's (``math.log10``).
+independent of the order of its terms, so every probability is its weight
+divided by the correctly rounded row total; only the final ``log10`` is the
+C library's (``math.log10``).
 """
 
 from __future__ import annotations
@@ -187,8 +187,7 @@ def synth_emissions(
         if label not in index:
             raise InvalidSyllable(f"unit {label!r} not in the emission alphabet")
 
-    V = len(alphabet)
-    blank = V
+    blank = len(alphabet)
     tau = config.confusion_temperature
     draw = _uniform_stream(config.seed, *_JITTER)
     neighbors = confusion_map(alphabet, config.confusion_policy) if tau > 0 else {}
