@@ -14,6 +14,8 @@ end-to-end ones from the untraced pairs, per-layer ones from the traced
 pairs. A timing gets the medians of both sides, the quartiles of the
 parent's runs and how many pairs the change won; a count is deterministic,
 so it gets each side's value at every seed and whether they are equal.
+Each pair also records whether both sides' ``outputs_sha256`` are equal,
+so a change that must not move any output shows that it did not.
 """
 
 from __future__ import annotations
@@ -49,22 +51,27 @@ def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict], trace: int) -> dict:
-    """Per workload and metric, over the pairs (same seed) run at ``trace``:
-    both sides' medians, the parent's quartiles and the pairs in which the
-    change was better; for a count, both sides' values by seed."""
+    """Per workload, over the pairs (same seed) run at ``trace``: by seed,
+    whether both sides' output digests are equal; per metric, both sides'
+    medians, the parent's quartiles and the pairs in which the change was
+    better, or for a count both sides' values by seed."""
     summary = {}
     for workload in WORKLOADS:
-        by_side = {side: {r["seed"]: r["result"]["metrics"] for r in runs
+        by_side = {side: {r["seed"]: r for r in runs
                           if r["side"] == side and r["workload"] == workload and r["trace"] == trace and "result" in r}
                    for side in ("parent", "change")}
         seeds = sorted(set(by_side["parent"]) & set(by_side["change"]))
         if not seeds:
             continue
-        entry = {"pairs": len(seeds)}
+        parent_runs = [by_side["parent"][s] for s in seeds]
+        change_runs = [by_side["change"][s] for s in seeds]
+        entry = {"pairs": len(seeds),
+                 "outputs_equal": {s: p["details"]["outputs_sha256"] == c["details"]["outputs_sha256"]
+                                   for s, p, c in zip(seeds, parent_runs, change_runs)}}
         for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
-            parent = [by_side["parent"][s][name]["value"] for s in seeds]
-            change = [by_side["change"][s][name]["value"] for s in seeds]
+            parent = [r["result"]["metrics"][name]["value"] for r in parent_runs]
+            change = [r["result"]["metrics"][name]["value"] for r in change_runs]
             if metric["unit"] == "count":
                 entry[name] = {"parent": dict(zip(seeds, parent)), "change": dict(zip(seeds, change)),
                                "equal": parent == change}

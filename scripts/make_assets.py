@@ -13,16 +13,21 @@ Outputs (committed, reproducible):
     src/pinasr/data/manifest.tsv        sha256 + record count per file
 
 Inventory rule: every segment of the base syllabary carries tones 1-4;
-tone 5 (neutral) exists only where the lexicon attests it. The script
-fails loudly if a lexicon reading falls outside the syllabary or a corpus
+tone 5 (neutral) exists only where the lexicon attests it. The lexicon is
+loaded with the package's own loader against every segment in tones 1-5,
+so the script fails loudly, naming the line, if a reading falls outside the
+syllabary or a weight is not positive and finite; it also fails if a corpus
 sentence uses a character the lexicon does not cover.
 """
 
 import hashlib
 import random
 import sys
-from collections import Counter
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pinasr.pinyin import PronunciationLexicon, SyllableInventory
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "pinasr" / "data"
 
@@ -221,35 +226,15 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def load_lexicon_rows():
-    rows = []
-    for raw in (DATA / "lexicon.tsv").read_text(encoding="utf-8").splitlines():
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        char, unit, weight = raw.split("\t")
-        rows.append((char, unit, float(weight)))
-    return rows
-
-
 def main() -> int:
     segments = set(SEGMENTS)
     assert len(segments) == len(SEGMENTS), "duplicate segment in syllabary"
-    rows = load_lexicon_rows()
+    syllabary = SyllableInventory(frozenset(f"{seg}{tone}" for seg in segments for tone in "12345"), "syllabary")
+    lexicon = PronunciationLexicon.from_file(DATA / "lexicon.tsv", syllabary)
+    neutral = {unit for unit in lexicon.all_units() if unit.endswith("5")}
+    rows = sum(len(lexicon.readings(char)) for char in lexicon.characters)
 
     problems = []
-    neutral = set()
-    for char, unit, weight in rows:
-        seg, tone = unit[:-1], unit[-1]
-        if tone not in "12345":
-            problems.append(f"bad tone: {char} {unit}")
-        elif seg not in segments:
-            problems.append(f"segment not in syllabary: {char} {unit}")
-        elif tone == "5":
-            neutral.add(unit)
-        if weight <= 0:
-            problems.append(f"non-positive weight: {char} {unit} {weight}")
-
-    covered = {char for char, _, _ in rows}
     rng = random.Random(SEED)
     combos = [(s, a, v) for s in SUBJECTS for a in ADVERBS for v in VERB_PHRASES]
     rng.shuffle(combos)
@@ -261,7 +246,7 @@ def main() -> int:
         for sentence in sentences:
             if not 5 <= len(sentence) <= 40:
                 problems.append(f"{name}: length {len(sentence)} outside [5,40]: {sentence}")
-            missing = sorted({c for c in sentence if c not in covered})
+            missing = sorted({c for c in sentence if c not in lexicon})
             if missing:
                 problems.append(f"{name}: uncovered characters {''.join(missing)} in: {sentence}")
 
@@ -270,8 +255,7 @@ def main() -> int:
             print("ERROR:", p, file=sys.stderr)
         return 1
 
-    tonal_units = sorted(f"{seg}{tone}" for seg in SEGMENTS for tone in "1234") + sorted(neutral)
-    tonal_units = sorted(tonal_units)
+    tonal_units = sorted({f"{seg}{tone}" for seg in segments for tone in "1234"} | neutral)
     inventory_lines = [
         "# Tonal pinyin unit inventory: every syllabary segment with tones 1-4,",
         "# plus the neutral-tone (5) units attested in the bundled lexicon.",
@@ -286,7 +270,7 @@ def main() -> int:
 
     counts = {
         "syllables.txt": len(tonal_units),
-        "lexicon.tsv": len(rows),
+        "lexicon.tsv": rows,
         "corpus_train.txt": len(train),
         "corpus_heldout.txt": len(heldout),
         "corpus_toy20.txt": len(TOY20),
@@ -295,7 +279,7 @@ def main() -> int:
     (DATA / "manifest.tsv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
     print(f"inventory: {len(tonal_units)} tonal / {len(segments)} toneless units")
-    print(f"lexicon: {len(rows)} rows, {len(covered)} characters")
+    print(f"lexicon: {rows} rows, {len(lexicon)} characters")
     print(f"corpora: train={len(train)} heldout={len(heldout)} toy20={len(TOY20)}")
     return 0
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .ngram_lm import BOS, NGramModel
+from .ngram_lm import NGramModel
 
 NEG_INF = float("-inf")
 
@@ -231,7 +231,7 @@ def prefix_beam_search(
     beam: list[tuple[float, tuple[int, ...], float, float, float]] = [(0.0, (), 0.0, NEG_INF, 0.0)]
     # prefix -> (cumulative lm log10, lm state); grows append-only, and only
     # when there is an LM.
-    lm_cache: dict[tuple[int, ...], tuple[float, int]] = {(): (0.0, lm.state((BOS,)))} if lm is not None else {}
+    lm_cache: dict[tuple[int, ...], tuple[float, int]] = {(): (0.0, lm.start)} if lm is not None else {}
 
     for t, entries in enumerate(emissions.frames):
         live = {unit_of_class[c]: score for c, score in entries if score > prune_threshold}

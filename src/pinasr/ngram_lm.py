@@ -82,13 +82,15 @@ class NGramModel:
     integer tables; immutable and safe for concurrent scoring.
 
     The vocabulary is the unigrams' tokens, and every token of an n-gram has
-    a unigram. ``word`` numbers the tokens and ``state`` the contexts the
-    tables store: every backoff key and n-gram history shorter than
-    ``order``, closed under prefixes, with ``()`` as state 0. A state keeps
-    its backoff weight and its parent, the longest stored proper suffix;
-    ``score_token`` is the one query, and no probability it returns exceeds
-    ``max_score``. A top-order n-gram's backoff weight weighs on no query
-    and is not kept.
+    a unigram. ``word`` numbers the tokens, and states number the contexts
+    the tables store: every backoff key and n-gram history shorter than
+    ``order``, closed under prefixes, with ``()`` as state 0. ``start`` is
+    the state after ``<s>``, so a model of order 2 or more with neither
+    ``<s>`` nor ``<unk>`` raises OutOfVocabulary on construction. A state
+    keeps its backoff weight and its parent, the longest stored proper
+    suffix; ``score_token`` is the one query and gives the next state, and
+    no probability it returns exceeds ``max_score``. A top-order n-gram's
+    backoff weight weighs on no query and is not kept.
     """
 
     def __init__(self, order: int, prob_table: dict[tuple[str, ...], float],
@@ -124,6 +126,8 @@ class NGramModel:
         for _ in range(order - 1):
             penalty += rise
         self.max_score = penalty + max(prob_table.values())
+        # The state after <s>, where both searches start; an order-1 model keeps no context.
+        self.start = self._next.get(self.word(BOS), 0) if order > 1 else 0
 
     def word(self, token: str) -> int:
         """The word id of ``token``, or of ``<unk>`` for a token outside the
@@ -131,17 +135,6 @@ class NGramModel:
         if (word := self._words.get(token, self._words.get(UNK))) is None:
             raise OutOfVocabulary(f"token {token!r} is not in the LM vocabulary, which has no {UNK}")
         return word
-
-    def state(self, context: Sequence[str]) -> int:
-        """The state of ``context``: ``score_token``'s next state folded from
-        state 0 over its last order-1 tokens (mapped as ``word`` maps them),
-        so the longest of their suffixes that is stored. A context that is not
-        stored has no n-gram and no backoff weight, so two contexts with one
-        state score every continuation alike."""
-        state = 0
-        for token in context[max(0, len(context) - self.order + 1):]:
-            state = self.score_token(state, self.word(token))[1]
-        return state
 
     def score_token(self, state: int, word: int) -> tuple[float, int]:
         """``(log10 P(word | state), the state after word)``.

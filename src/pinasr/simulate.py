@@ -2,10 +2,10 @@
 
 Each input unit occupies ``frames_per_unit`` frames of mass concentrated on
 its own class, followed by a blank-dominant release frame (so repeated
-units always stay CTC-separable). At ``confusion_temperature`` 0 every
-frame is exactly one-hot and the whole pipeline is lossless by
-construction; raising the temperature leaks mass onto phonologically
-confusable classes:
+units always stay CTC-separable). Every leak weight scales with
+``confusion_temperature``, so at 0 each drops out, every frame is exactly
+one-hot and the whole pipeline is lossless by construction; raising the
+temperature leaks mass onto phonologically confusable classes:
 
     tone-neighbor   same segment, different tone (tonal alphabets only)
     final-neighbor  same final (and tone, if tonal), different initial
@@ -197,30 +197,25 @@ def synth_emissions(
         frames.append([(blank, 0.0)])
     for pos, label in enumerate(labels):
         unit_index = index[label]
-        if tau > 0:
-            confusable = neighbors[label]
-            split = bisect_left(confusable, unit_index)
-            columns = (*confusable[:split], unit_index, *confusable[split:], blank)
-            share = tau * _CONFUSION_LEAK / len(confusable) if confusable else 0.0
-            for _ in range(config.frames_per_unit):
-                # One call draws every jitter of the frame: each neighbour's
-                # in ascending order, then the blank's.
-                draws = draw(len(confusable) + 1)
-                values = [share * d for d in draws[:-1]]
-                values.insert(split, 1.0)
-                values.append(tau * _BLANK_LEAK * draws[-1])
-                frames.append(_log_shares(columns, values))
-        else:
-            frames += [[(unit_index, 0.0)]] * config.frames_per_unit
+        confusable = neighbors.get(label, ())
+        split = bisect_left(confusable, unit_index)
+        columns = (*confusable[:split], unit_index, *confusable[split:], blank)
+        share = tau * _CONFUSION_LEAK / len(confusable) if confusable else 0.0
+        for _ in range(config.frames_per_unit):
+            # One call draws every jitter of the frame: each neighbour's in
+            # ascending order, then the blank's.
+            draws = draw(len(confusable) + 1)
+            values = [share * d for d in draws[:-1]]
+            values.insert(split, 1.0)
+            values.append(tau * _BLANK_LEAK * draws[-1])
+            frames.append(_log_shares(columns, values))
         # The release frame: blank-dominant, leaking onto both neighbours.
         next_index = index[labels[pos + 1]] if pos + 1 < len(labels) else None
-        weights = {blank: config.blank_fill}
-        if tau > 0:
-            leak = tau * (1.0 - config.blank_fill) * 0.5
-            draws = draw(1 if next_index is None else 2)
-            weights[unit_index] = leak * draws[0]
-            if next_index is not None:
-                weights[next_index] = weights.get(next_index, 0.0) + leak * draws[1]
+        leak = tau * (1.0 - config.blank_fill) * 0.5
+        draws = draw(1 if next_index is None else 2)
+        weights = {blank: config.blank_fill, unit_index: leak * draws[0]}
+        if next_index is not None:
+            weights[next_index] = weights.get(next_index, 0.0) + leak * draws[1]
         columns = sorted(weights)
         frames.append(_log_shares(columns, [weights[c] for c in columns]))
     return EmissionMatrix(frames, unit_labels=alphabet, blank_index=blank)

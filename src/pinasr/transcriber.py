@@ -9,10 +9,11 @@ with the LM scored like a sentence (begin and end markers included).
 ``beam_transcribe`` keeps at most ``beam_width`` search states per position
 and returns the best reading; with ``beam_width=None`` it keeps all and is
 the exact Viterbi search. Its
-state is the char LM's integer state (``NGramModel.state``): the longest
-suffix of the last order-1 characters, out-of-vocabulary ones mapped to
-``<unk>``, that the LM stores. That is all the LM can see, and paths the LM
-cannot tell apart share one state; ``score_token`` gives the next one.
+state is the char LM's integer state, from ``NGramModel.start`` on: the
+longest suffix of the last order-1 characters, out-of-vocabulary ones
+mapped to ``<unk>``, that the LM stores. That is all the LM can see, and
+paths the LM cannot tell apart share one state; ``score_token`` gives the
+next one.
 
 Ties anywhere break toward the lexicographically smaller character
 sequence, so results are deterministic and enumeration-checkable.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ngram_lm import BOS, EOS, NGramModel
+from .ngram_lm import EOS, NGramModel
 from .pinyin import PronunciationLexicon, strip_tone
 
 import math
@@ -119,7 +120,7 @@ def beam_transcribe(
     if beam_width is not None and beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     # state -> (score, prefix)
-    states: dict[int, tuple[float, tuple[str, ...]]] = {char_lm.state((BOS,)): (0.0, ())}
+    states: dict[int, tuple[float, tuple[str, ...]]] = {char_lm.start: (0.0, ())}
     for candidates in lattice.positions:
         scored = [(char, char_lm.word(char), channel_weight * weight) for char, weight in candidates]
         new_states: dict[int, tuple[float, tuple[str, ...]]] = {}

@@ -142,6 +142,18 @@ def map_token(model: NGramModel, token: str) -> str:
     raise OutOfVocabulary(f"token {token!r} is not in the LM vocabulary, which has no {UNK}")
 
 
+def lm_state(model: NGramModel, context) -> int:
+    """The state of ``context``: ``score_token``'s next state folded from
+    state 0 over its last order-1 tokens (mapped as ``word`` maps them),
+    so the longest of their suffixes that is stored. A context that is not
+    stored has no n-gram and no backoff weight, so two contexts with one
+    state score every continuation alike."""
+    state = 0
+    for token in context[max(0, len(context) - model.order + 1):]:
+        state = model.score_token(state, model.word(token))[1]
+    return state
+
+
 def reference_score(model: NGramModel, context, token: str) -> float:
     """log10 P(token | context) by longest-match backoff over string
     tuples, as the library scored before it compiled its models to integer

@@ -230,6 +230,28 @@ def test_malformed_lm_error_names_its_file(tmp_path, small_corpus, capsys, bad):
         assert run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(paths[bad])) == (1, "", want)
 
 
+NO_START_ARPA = ("\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-0.3\t</s>\n-0.3\ta\n\n"
+                 "\\2-grams:\n-0.1\ta </s>\n\n\\end\\\n")
+
+
+def test_lm_without_a_start_state_is_refused_naming_its_file(tmp_path, small_corpus, capsys):
+    # A bigram LM with neither <s> nor <unk> has no state after <s> to start
+    # a search from. It is refused as it loads, naming its ARPA file, not
+    # the emission file, utterance or input line that would first query it.
+    lm = tmp_path / "no_start.arpa"
+    lm.write_text(NO_START_ARPA, encoding="utf-8")
+    (tmp_path / "char.arpa").write_text(GOOD_ARPA, encoding="utf-8")
+    want = (1, "", f"error: {lm}: token '<s>' is not in the LM vocabulary, which has no <unk>\n")
+    em_dir = tmp_path / "em"
+    em_dir.mkdir()
+    (em_dir / "utt_0000.em").write_text("1 1 1\na\n0:0.0\n", encoding="utf-8")
+    assert run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(lm)) == want
+    assert run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--char-lm", str(tmp_path / "char.arpa"),
+               "--pinyin-lm", str(lm), "--out-dir", str(tmp_path / "out")) == want
+    pinyin_file = write_sentences(tmp_path / "p.txt", ["zhong1 guo2"])
+    assert run(capsys, "transcribe", "--input", str(pinyin_file), "--char-lm", str(lm)) == want
+
+
 def test_emission_file_error_names_its_file(tmp_path, small_corpus, capsys):
     em_dir = tmp_path / "em"
     em_dir.mkdir()

@@ -23,7 +23,14 @@ from pinasr.ngram_lm import (
     train,
     write_arpa,
 )
-from reference_impls import arpa_perplexity, garbled_text, perplexity, prediction_vocabulary, reference_score
+from reference_impls import (
+    arpa_perplexity,
+    garbled_text,
+    lm_state,
+    perplexity,
+    prediction_vocabulary,
+    reference_score,
+)
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
 
@@ -373,10 +380,10 @@ def outcome(call):
 
 
 def check_state(model, contexts, context, token):
-    """One query: the compiled ``score_token(state(h), word(w))`` against
+    """One query: the compiled ``score_token(lm_state(h), word(w))`` against
     the string walk; ``contexts`` is ``model.state_contexts()``."""
     full = outcome(lambda: reference_score(model, context, token))
-    state = outcome(lambda: model.state(context))
+    state = outcome(lambda: lm_state(model, context))
     word = outcome(lambda: model.word(token))
     seen = [*context[max(0, len(context) - model.order + 1):], token]
     if UNK not in model.vocabulary and any(t not in model.vocabulary for t in seen):
@@ -384,9 +391,9 @@ def check_state(model, contexts, context, token):
     if OutOfVocabulary in (state, word):
         assert full is OutOfVocabulary
         return
-    assert model.score_token(state, word) == (full, model.state((*context, token)))
+    assert model.score_token(state, word) == (full, lm_state(model, (*context, token)))
     # The state's own tokens are a context with that state and those scores.
-    assert model.state(contexts[state]) == state
+    assert lm_state(model, contexts[state]) == state
     assert reference_score(model, contexts[state], token) == full
 
 
@@ -395,6 +402,7 @@ def check_state(model, contexts, context, token):
 def test_state_scores_like_the_full_context(model, lead):
     # Each context ends in part of a stored n-gram, so the checks reach the
     # stored contexts and the prefixes between them.
+    assert model.start == lm_state(model, (BOS,))
     contexts = model.state_contexts()
     for stem in chain(model.prob_table, model.backoff_table):
         for cut in range(len(stem)):
@@ -461,15 +469,15 @@ def test_state_closes_missing_prefixes():
     model = read_arpa(io.StringIO(text))
     contexts = model.state_contexts()
     assert sorted(contexts) == [(), ("a",), ("a", "b")]
-    assert contexts[model.state(["x", "a"])] == ("a",)
-    assert contexts[model.state(["x", "a", "b"])] == ("a", "b")
-    assert model.state(["a", "b", "b"]) == 0 and contexts[0] == ()
+    assert contexts[lm_state(model, ["x", "a"])] == ("a",)
+    assert contexts[lm_state(model, ["x", "a", "b"])] == ("a", "b")
+    assert lm_state(model, ["a", "b", "b"]) == 0 and contexts[0] == ()
     b, c = model.word("b"), model.word("c")
-    assert model.score_token(model.state(["x", "a"]), b)[1] == model.state(["x", "a", "b"])
-    assert model.score_token(model.state(["a", "b"]), b)[1] == 0
-    assert model.score_token(model.state(["x", "a", "b"]), c)[0] == -0.1
+    assert model.score_token(lm_state(model, ["x", "a"]), b)[1] == lm_state(model, ["x", "a", "b"])
+    assert model.score_token(lm_state(model, ["a", "b"]), b)[1] == 0
+    assert model.score_token(lm_state(model, ["x", "a", "b"]), c)[0] == -0.1
     unigram = train([["a"]], order=1)
-    assert unigram.state(["a", "zz"]) == 0
+    assert lm_state(unigram, ["a", "zz"]) == 0
     assert unigram.score_token(0, unigram.word("zz"))[1] == 0
 
 
@@ -479,7 +487,7 @@ def test_trained_model_contexts_are_its_backoff_keys():
     model = train([["a", "b", "c", "a"], ["b", "a"]], order=4, discount=0.6)
     contexts = model.state_contexts()
     assert sorted(contexts) == sorted(set(model.backoff_table) | {()})
-    assert [model.state(ctx) for ctx in contexts] == list(range(len(contexts)))
+    assert [lm_state(model, ctx) for ctx in contexts] == list(range(len(contexts)))
     tables = [value for value in vars(model).values() if isinstance(value, (dict, set))]
     assert tables and not any(isinstance(key, tuple) for table in tables for key in table)
 
