@@ -12,8 +12,11 @@ run's length. Every run's details and result lines go into the output JSON,
 under each side's git commit, with a per-workload summary of every metric:
 end-to-end ones from the untraced pairs, per-layer ones from the traced
 pairs. A timing gets the medians of both sides, the quartiles of the
-parent's runs and how many pairs the change won; a count is deterministic,
-so it gets each side's value at every seed and whether they are equal.
+parent's runs, how many pairs the change won and whether that shows a gain:
+at least ten pairs, at least nine tenths of them won, and the medians apart,
+in the better direction, by more than the distance between the parent's
+quartiles. A count is deterministic, so it gets each side's value at every
+seed and whether they are equal.
 Each pair also records whether both sides' ``outputs_sha256`` are equal,
 so a change that must not move any output shows that it did not.
 """
@@ -53,8 +56,9 @@ def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 def summarize(runs: list[dict], metrics: list[dict], trace: int) -> dict:
     """Per workload, over the pairs (same seed) run at ``trace``: by seed,
     whether both sides' output digests are equal; per metric, both sides'
-    medians, the parent's quartiles and the pairs in which the change was
-    better, or for a count both sides' values by seed."""
+    medians, the parent's quartiles, the pairs in which the change was
+    better and whether a gain is shown, or for a count both sides' values
+    by seed."""
     summary = {}
     for workload in WORKLOADS:
         by_side = {side: {r["seed"]: r for r in runs
@@ -77,12 +81,15 @@ def summarize(runs: list[dict], metrics: list[dict], trace: int) -> dict:
                                "equal": parent == change}
                 continue
             won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+            q1, q3 = quantiles(parent, n=4)[::2] if len(parent) > 1 else parent * 2
+            gain = median(parent) - median(change) if lower else median(change) - median(parent)
             entry[name] = {
                 "parent_median": median(parent),
-                "parent_quartiles": quantiles(parent, n=4)[::2] if len(parent) > 1 else parent * 2,
+                "parent_quartiles": [q1, q3],
                 "change_median": median(change),
                 "relative_change": median(change) / median(parent) - 1.0 if median(parent) else None,
                 "pairs_won": won,
+                "gain_shown": len(seeds) >= 10 and 10 * won >= 9 * len(seeds) and gain > q3 - q1,
             }
         summary[workload] = entry
     return summary

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import ambiguity, assets, metrics, ngram_lm, transcriber
 from .corpus import FilterResult, build_parallel, check_length_bounds, filter_sentences, read_parallel_tsv
-from .ctc import DecoderConfig, EmissionMatrix, prefix_beam_search, read_emissions, write_emissions
+from .ctc import DecoderConfig, EmissionMatrix, check_alphabet, prefix_beam_search, read_emissions, write_emissions
 from .ngram_lm import NGramModel
 from .pinyin import PronunciationLexicon, SyllableInventory, strip_tone
 from .simulate import SimConfig, synth_emissions
@@ -236,8 +236,8 @@ class Pipeline:
     def lms(self) -> tuple[NGramModel | None, NGramModel]:
         """The unit LM (None with ``use_pinyin_lm`` off) and the char LM, each
         read from its ARPA path or else trained on the train corpus's
-        utterances (read only if a model is trained); the unit LM is closed
-        over the unit alphabet."""
+        utterances (read only if a model is trained); the unit LM covers the
+        unit alphabet, or a ValueError names its file once both are read."""
         c = self.config
         train_needed = not c.char_lm or (c.use_pinyin_lm and not c.pinyin_lm)
         train = self.utterances(c.train_corpus, "corpus_train.txt", "train") if train_needed else []
@@ -246,7 +246,11 @@ class Pipeline:
             return _read_arpa(path) if path else ngram_lm.train(corpus, order, c.lm_discount, c.min_count, vocabulary)
 
         unit_lm = lm(c.pinyin_lm, [u for _, u in train], c.pinyin_lm_order, self.alphabet) if c.use_pinyin_lm else None
-        return unit_lm, lm(c.char_lm, [list(h) for h, _ in train], c.char_lm_order)
+        char_lm = lm(c.char_lm, [list(h) for h, _ in train], c.char_lm_order)
+        if unit_lm is not None and c.pinyin_lm:   # a trained unit LM is closed over the alphabet
+            with _naming(c.pinyin_lm):
+                check_alphabet(self.alphabet, unit_lm)
+        return unit_lm, char_lm
 
     def transcribe(self, units: list[str], char_lm: NGramModel, lenient: bool = True):
         """The best Hanzi reading; without ``lenient``, a lattice fallback

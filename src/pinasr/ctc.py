@@ -19,16 +19,17 @@ over). With an exhaustive beam and no pruning the search is exact.
 The beam never builds a child that cannot reach a frame's k-th best: a
 child outside the beam takes one mass, so before any LM query its fused
 score is bounded by that mass plus ``lm_weight * (the parent's LM score +
-NGramModel.max_score)`` plus the bonus. The bound is
-computed with the same rounded operations as the score it bounds, ties are
-kept, and the masses that do land on kept prefixes are added in an order
-that cannot change their bits, so the pruning changes no result
-(``prefix_beam_search`` has the argument).
+NGramModel.bounds[its state])`` plus the bonus, and the floor it is held to
+rises as the frame is searched. The bound is computed with the same rounded
+operations as the score it bounds, ties are kept, and the masses that do land
+on kept prefixes are added in an order that cannot change their bits, so the
+pruning changes no result (``prefix_beam_search`` has the argument).
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -175,13 +176,19 @@ class DecoderConfig:
             raise ValueError(f"prune_threshold must be below +inf, got {self.prune_threshold}")
 
 
+def check_alphabet(unit_labels: Sequence[str], lm: NGramModel) -> None:
+    """VocabularyMismatch naming the first units of ``unit_labels`` that ``lm`` lacks."""
+    if missing := [u for u in unit_labels if u not in lm.vocabulary]:
+        raise VocabularyMismatch(f"units absent from LM vocabulary: {missing[:5]}")
+
+
 @functools.lru_cache(maxsize=8)
 def _alphabet_tables(unit_labels: tuple[str, ...], blank_index: int, lm: NGramModel | None):
     """The labels sorted, each class's unit number in that order (-1 for the
     blank) and each unit number's LM word; VocabularyMismatch for a
     unit the LM lacks. Prefixes of unit numbers then sort like their labels."""
-    if lm is not None and (missing := [u for u in unit_labels if u not in lm.vocabulary]):
-        raise VocabularyMismatch(f"units absent from LM vocabulary: {missing[:5]}")
+    if lm is not None:
+        check_alphabet(unit_labels, lm)
     by_label = sorted(range(len(unit_labels)), key=unit_labels.__getitem__)
     labels = tuple(unit_labels[u] for u in by_label)
     unit_of_class = sorted(range(len(unit_labels)), key=by_label.__getitem__)   # the inverse of by_label
@@ -207,24 +214,27 @@ def prefix_beam_search(
 
     Each frame runs in two passes. The first gives every kept prefix the
     masses that land on it: its own blank, its own repeat, and its parent's
-    extension when the parent is kept too. With ``beam_width`` of them, the
-    worst of their fused scores is a floor for the frame's k-th best. A
-    child outside the beam takes exactly one mass, so its fused score is at
-    most ``value + lm_weight * (cum_parent + lm.max_score) + insertion_bonus
-    * (len + 1)``, and the second pass skips it before it is built when that
-    bound is below the floor. Skipping changes no result, bit for bit: the
-    bound is the child's own rounded sum with ``lm.max_score`` (at least every
-    ``score_token`` value as a float) for its LM term, and rounded + and * are
-    monotone; a tie is not skipped, so the label-order tie-break holds; and a
-    kept prefix's non-blank slot takes at most two masses, so the symmetric
-    ``log10addexp`` gives the same bits in either order.
+    extension when the parent is kept too. Their fused scores seed a heap of
+    the frame's ``beam_width`` best so far; once full, its least is a floor
+    for the frame's k-th best. A child outside the beam takes exactly one
+    mass, so its fused score is at most ``value + lm_weight * (cum_parent +
+    lm.bounds[state]) + insertion_bonus * (len + 1)``; the second pass skips
+    it before it is built when that bound is below the floor, or after its
+    LM query when its exact score is, and pushes each child it keeps, so the
+    floor rises as the parents, best first, are searched. Skipping changes
+    no result, bit for bit: the bound is the child's own rounded sum with
+    ``lm.bounds[state]`` (at least every ``score_token`` value from that
+    state, as a float) for its LM term, and rounded + and * are monotone; a
+    tie is not skipped, so the label-order tie-break holds; no NaN enters
+    the heap; and a kept prefix's non-blank slot takes at most two masses,
+    so the symmetric ``log10addexp`` gives the same bits in either order.
     """
     labels, unit_of_class, words = _alphabet_tables(emissions.unit_labels, emissions.blank_index, lm)
     alpha = config.lm_weight if lm is not None else 0.0
     beta = config.insertion_bonus
     prune_threshold = config.prune_threshold
     width = config.beam_width
-    max_lm = lm.max_score if lm is not None else 0.0
+    bounds = lm.bounds if lm is not None else [0.0]
 
     # Beam entries: (-fused score, prefix, p_blank, p_nonblank, total mass),
     # best first; prefixes are tuples of unit numbers.
@@ -264,14 +274,17 @@ def prefix_beam_search(
                          else log10addexp(new_b, new_nb))
             cum = lm_cache[prefix][0] if lm is not None else 0.0
             candidates.append((-(new_total + alpha * cum + beta * len(prefix)), prefix, new_b, new_nb, new_total))
-        # Kept prefixes are at most beam_width, so with that many the worst is the floor.
-        least = -max(candidates)[0] if len(candidates) == width else NEG_INF
+        # The frame's best fused scores so far, at most width (as kept prefixes are);
+        # once width, the least is a floor for the k-th best. NaN would break the order.
+        floor = [-key for key, *_ in candidates if key == key]
+        heapq.heapify(floor)
+        least = floor[0] if len(floor) == width else NEG_INF
 
         # Pass 2: children outside the beam, one mass each, skipped below the floor.
         for _, prefix, p_b, _, total in beam:
             last = prefix[-1] if prefix else None
             cum, state = lm_cache[prefix] if lm is not None else (0.0, 0)
-            reach = alpha * (cum + max_lm)
+            reach = alpha * (cum + bounds[state])
             bonus = beta * (len(prefix) + 1)
             for unit, score in ranked:
                 if unit != last:
@@ -294,7 +307,13 @@ def prefix_beam_search(
                     child_cum = cached[0]
                 else:
                     child_cum = 0.0
-                candidates.append((-(value + alpha * child_cum + bonus), child, NEG_INF, value, value))
+                fused = value + alpha * child_cum + bonus
+                if fused < least:
+                    continue
+                candidates.append((-fused, child, NEG_INF, value, value))
+                if fused == fused:   # not NaN
+                    (heapq.heappush if len(floor) < width else heapq.heapreplace)(floor, fused)
+                    least = floor[0] if len(floor) == width else NEG_INF
         # Prefixes are unique, so ties on the score break by prefix alone.
         candidates.sort()
         beam = candidates[:width]

@@ -22,6 +22,7 @@ closed vocabulary) are mapped to ``<unk>`` before counting.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -89,8 +90,8 @@ class NGramModel:
     ``<s>`` nor ``<unk>`` raises OutOfVocabulary on construction. A state
     keeps its backoff weight and its parent, the longest stored proper
     suffix; ``score_token`` is the one query and gives the next state, and
-    no probability it returns exceeds ``max_score``. A top-order n-gram's
-    backoff weight weighs on no query and is not kept.
+    no probability it returns from state s exceeds ``bounds[s]``. A
+    top-order n-gram's backoff weight weighs on no query and is not kept.
     """
 
     def __init__(self, order: int, prob_table: dict[tuple[str, ...], float],
@@ -118,16 +119,29 @@ class NGramModel:
         self._prob = {ids[gram[:-1]] * size + words[gram[-1]]: p for gram, p in prob_table.items()}
         # Each state, keyed by its prefix state and last word.
         self._next = {ids[ctx[:-1]] * size + words[ctx[-1]]: i for i, ctx in enumerate(ordered) if ctx}
-        # At least every score_token probability, as a float: a query adds at
-        # most order-1 backoff weights to one stored probability, and each
-        # rounded + is monotone, so the same sum over the largest of each bounds it.
-        rise = max([0.0, *(bow for bow in self._backoff if bow is not None)])
-        penalty = 0.0
-        for _ in range(order - 1):
-            penalty += rise
-        self.max_score = penalty + max(prob_table.values())
         # The state after <s>, where both searches start; an order-1 model keeps no context.
         self.start = self._next.get(self.word(BOS), 0) if order > 1 else 0
+
+    @functools.cached_property
+    def bounds(self) -> list[float]:
+        """Per state, at least every probability ``score_token`` gives from it:
+        the largest, over the levels of its backoff walk, of the penalty summed as
+        ``score_token`` sums it (rounded + is monotone) plus the largest stored there."""
+        size, backoff, parent = self._num_words, self._backoff, self._parent
+        top = [-math.inf] * len(parent)
+        for key, p in self._prob.items():
+            if p > top[key // size]:
+                top[key // size] = p
+        bounds = []
+        for state in range(len(parent)):
+            at, penalty, bound = state, 0.0, top[state]
+            while at:
+                penalty += backoff[at] or 0.0
+                at = parent[at]
+                if penalty + top[at] > bound:
+                    bound = penalty + top[at]
+            bounds.append(bound)
+        return bounds
 
     def word(self, token: str) -> int:
         """The word id of ``token``, or of ``<unk>`` for a token outside the

@@ -430,15 +430,21 @@ def test_pipeline_ingest_matches_synthesized_run(tmp_path, small_corpus, capsys)
         assert (ingest / name).read_bytes() == (plain / name).read_bytes(), name
 
 
-def test_pipeline_stage_error_names_stage_and_utterance(tmp_path, small_corpus, capsys):
-    char_lm = tmp_path / "char.arpa"
+def test_unit_lm_that_lacks_units_is_refused_naming_its_file(tmp_path, small_corpus, capsys):
+    # A char LM passed as the unit LM, and a bigram unit LM over a alone,
+    # lack units of the alphabet. Each is refused once both LMs are read,
+    # naming its ARPA file, before any utterance is synthesized.
+    char_lm, unit_lm = tmp_path / "char.arpa", tmp_path / "units.arpa"
     code, _, _ = run(capsys, "train-lm", "--train-corpus", str(small_corpus), "--char-lm-order", "2",
                      "--out-dir", str(tmp_path))
     assert code == 0
-    code, _, err = run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--pinyin-lm", str(char_lm),
-                       "--out-dir", str(tmp_path / "out"))
-    assert code == 1
-    assert "stage=decode utt=0" in err
+    unit_lm.write_text("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.3\t</s>\n-99.0\t<s>\n-0.3\ta\n\n"
+                       "\\2-grams:\n-0.1\t<s> a\n\n\\end\\\n", encoding="utf-8")
+    for path in (char_lm, unit_lm):
+        code, out, err = run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--pinyin-lm", str(path),
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (1, "") and not (tmp_path / "out").exists()
+        assert err == f"error: {path}: units absent from LM vocabulary: ['a1', 'a2', 'a3', 'a4', 'a5']\n"
 
 
 def test_frame_with_no_live_class_fails_naming_the_frame(tmp_path, small_corpus, capsys):

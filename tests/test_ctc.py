@@ -18,7 +18,7 @@ from pinasr.ctc import (
     read_emissions,
     write_emissions,
 )
-from pinasr.ngram_lm import train
+from pinasr.ngram_lm import NGramModel, train
 from test_ngram_lm import arpa_model, arpa_tables
 from reference_impls import (
     garbled_text,
@@ -308,6 +308,20 @@ def test_beam_keeps_children_that_tie_the_floor():
     config = DecoderConfig(beam_width=2)
     assert prefix_beam_search(e, None, config) == [(("a",), 2 * half), (("a", "b"), 2 * half)]
     assert prefix_beam_search(e, None, config) == closure_prefix_beam_search(e, None, config)
+
+
+def test_beam_keeps_a_child_that_ties_a_floor_set_in_pass_2():
+    # One frame split evenly between b and a, in that class order, with no
+    # blank: pass 1 has no candidate, so (b), the first child of pass 2,
+    # fills the one place and sets the floor. (a) ties it, by its bound (the
+    # unigram LM's bound is its score) and by its exact score, and wins by
+    # label order. Skipping a tie at either check would return (b).
+    half = math.log10(0.5)
+    e = dense_emissions([[half, half, NEG_INF]], ("b", "a"), blank_index=2)
+    lm = NGramModel(1, {("a",): half, ("b",): half}, {})
+    config = DecoderConfig(beam_width=1, lm_weight=1.0)
+    assert prefix_beam_search(e, lm, config) == [(("a",), 2 * half)]
+    assert prefix_beam_search(e, lm, config) == closure_prefix_beam_search(e, lm, config)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -449,12 +449,12 @@ def test_write_arpa_returns_the_count_of_each_order(model):
 
 @given(LM_MODELS)
 @settings(max_examples=150, deadline=None)
-def test_max_score_bounds_every_query(model):
+def test_bounds_hold_every_query_from_their_state(model):
     # The beam's pruning bound rests on this, as floats, positive backoff weights included.
     words = range(len(model.vocabulary))
     for state in range(len(model.state_contexts())):
         for word in words:
-            assert model.score_token(state, word)[0] <= model.max_score
+            assert model.score_token(state, word)[0] <= model.bounds[state]
 
 
 def test_state_closes_missing_prefixes():
