@@ -15,16 +15,22 @@ pairs. A timing gets the medians of both sides, the quartiles of the
 parent's runs, how many pairs the change won and whether that shows a gain:
 at least ten pairs, at least nine tenths of them won, and the medians apart,
 in the better direction, by more than the distance between the parent's
-quartiles. A count is deterministic, so it gets each side's value at every
-seed and whether they are equal.
+quartiles. An end-to-end metric also gets whether the change's median is
+within its ``bound`` in BENCHMARK.json of the parent's. A count is
+deterministic, so it gets each side's value at every seed and whether they
+are equal.
 Each pair also records whether both sides' ``outputs_sha256`` are equal,
-so a change that must not move any output shows that it did not.
+so a change that must not move any output shows that it did not. Each
+side's environment is recorded before its first run: the Python that runs
+the benchmark, ``PYTHONDONTWRITEBYTECODE``, ``PYTHONHASHSEED`` and whether
+``src/pinasr/__pycache__`` exists, so two files' baselines can be told apart.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +44,15 @@ def commit(checkout: Path) -> str:
     """The checkout's git commit, abbreviated."""
     return subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True, check=True).stdout.strip()
+
+
+def environment(checkout: Path) -> dict:
+    """What sets a side's baseline apart beyond its commit."""
+    version = subprocess.run(["python3", "-c", "import sys; print(sys.version)"],
+                             capture_output=True, text=True, check=True).stdout.strip()
+    return {"python": version,
+            **{name: os.environ.get(name) for name in ("PYTHONDONTWRITEBYTECODE", "PYTHONHASHSEED")},
+            "pycache": (checkout / "src" / "pinasr" / "__pycache__").is_dir()}
 
 
 def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -57,8 +72,9 @@ def summarize(runs: list[dict], metrics: list[dict], trace: int) -> dict:
     """Per workload, over the pairs (same seed) run at ``trace``: by seed,
     whether both sides' output digests are equal; per metric, both sides'
     medians, the parent's quartiles, the pairs in which the change was
-    better and whether a gain is shown, or for a count both sides' values
-    by seed."""
+    better, whether a gain is shown and, for a metric with a ``bound``,
+    whether the change's median is within it; or for a count both sides'
+    values by seed."""
     summary = {}
     for workload in WORKLOADS:
         by_side = {side: {r["seed"]: r for r in runs
@@ -91,6 +107,9 @@ def summarize(runs: list[dict], metrics: list[dict], trace: int) -> dict:
                 "pairs_won": won,
                 "gain_shown": len(seeds) >= 10 and 10 * won >= 9 * len(seeds) and gain > q3 - q1,
             }
+            if "bound" in metric:
+                entry[name]["within_bound"] = (median(change) <= median(parent) * (1 + metric["bound"]) if lower
+                                               else median(change) >= median(parent) * (1 - metric["bound"]))
         summary[workload] = entry
     return summary
 
@@ -110,6 +129,7 @@ def main(argv=None) -> int:
             parser.error(f"{side}: no bench/run.py under {checkout}")
 
     record = {side: commit(checkout) for side, checkout in checkouts.items()}
+    record["environment"] = {side: environment(checkout) for side, checkout in checkouts.items()}
     record["runs"] = []
 
     def keep(side: str, run: dict) -> None:

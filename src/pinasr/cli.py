@@ -172,8 +172,19 @@ def _read_lines(path: str, bundled: str) -> list[str]:
 
 
 def _read_arpa(path: str) -> NGramModel:
+    """The LM at ``path``; a ValueError naming the file unless it parses and is normalized."""
     with open(_existing(path), encoding="utf-8") as fh, _naming(path):   # MalformedArpa, or text that is not UTF-8
-        return ngram_lm.read_arpa(fh)
+        model = ngram_lm.read_arpa(fh)
+        model.check_normalized()
+        return model
+
+
+def _read_char_lm(path: str) -> NGramModel:
+    """The char LM at ``path``; stage 2 scores each sentence's end, so it must predict ``</s>``."""
+    model = _read_arpa(path)
+    if ngram_lm.EOS not in model.vocabulary:
+        raise ValueError(f"{path}: char LM has no {ngram_lm.EOS} to score a sentence's end")
+    return model
 
 
 def _report_dropped(name: str, source, lines: list[str], sentences, corpus) -> None:
@@ -236,17 +247,20 @@ class Pipeline:
     def lms(self) -> tuple[NGramModel | None, NGramModel]:
         """The unit LM (None with ``use_pinyin_lm`` off) and the char LM, each
         read from its ARPA path or else trained on the train corpus's
-        utterances (read only if a model is trained); the unit LM covers the
-        unit alphabet, or a ValueError names its file once both are read."""
+        utterances (read only if a model is trained). A ValueError names the
+        file of a read LM that is not normalized, of a read char LM without
+        ``</s>``, and, once both are read, of a read unit LM that lacks units of
+        the alphabet."""
         c = self.config
         train_needed = not c.char_lm or (c.use_pinyin_lm and not c.pinyin_lm)
         train = self.utterances(c.train_corpus, "corpus_train.txt", "train") if train_needed else []
 
-        def lm(path: str, corpus, order: int, vocabulary=None) -> NGramModel:
-            return _read_arpa(path) if path else ngram_lm.train(corpus, order, c.lm_discount, c.min_count, vocabulary)
+        def lm(read, path: str, corpus, order: int, vocabulary=None) -> NGramModel:
+            return read(path) if path else ngram_lm.train(corpus, order, c.lm_discount, c.min_count, vocabulary)
 
-        unit_lm = lm(c.pinyin_lm, [u for _, u in train], c.pinyin_lm_order, self.alphabet) if c.use_pinyin_lm else None
-        char_lm = lm(c.char_lm, [list(h) for h, _ in train], c.char_lm_order)
+        unit_lm = (lm(_read_arpa, c.pinyin_lm, [u for _, u in train], c.pinyin_lm_order, self.alphabet)
+                   if c.use_pinyin_lm else None)
+        char_lm = lm(_read_char_lm, c.char_lm, [list(h) for h, _ in train], c.char_lm_order)
         if unit_lm is not None and c.pinyin_lm:   # a trained unit LM is closed over the alphabet
             with _naming(c.pinyin_lm):
                 check_alphabet(self.alphabet, unit_lm)
@@ -409,7 +423,7 @@ def cmd_transcribe(args, config: PipelineConfig) -> int:
     if not config.char_lm:
         raise ConfigError("transcribe needs --char-lm (an ARPA character LM)")
     pipe = Pipeline(config)
-    char_lm = _read_arpa(config.char_lm)
+    char_lm = _read_char_lm(config.char_lm)
     for lineno, line in enumerate(_read_text(args.input).splitlines(), 1):
         if not line.strip():
             continue

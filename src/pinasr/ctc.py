@@ -16,6 +16,9 @@ where the LM term conditions on the sentence-begin marker but never scores
 sentence end (the frame loop, not the LM, decides when the utterance is
 over). With an exhaustive beam and no pruning the search is exact.
 
+A prefix is an integer node of a trie built per search: each node keeps its
+parent, last unit, length, cumulative LM score and LM state, so extending,
+truncating and comparing prefixes never builds or hashes a unit sequence.
 The beam never builds a child that cannot reach a frame's k-th best: a
 child outside the beam takes one mass, so before any LM query its fused
 score is bounded by that mass plus ``lm_weight * (the parent's LM score +
@@ -228,20 +231,37 @@ def prefix_beam_search(
     tie is not skipped, so the label-order tie-break holds; no NaN enters
     the heap; and a kept prefix's non-blank slot takes at most two masses,
     so the symmetric ``log10addexp`` gives the same bits in either order.
+
+    Prefixes are nodes of a trie grown as children are first built, one
+    ``lm.score_token`` query per node. Candidates sort by fused score, then
+    by node; only when two of the first ``beam_width + 1`` scores are equal
+    can that order differ from label order where it matters, and then they
+    sort again by the unit paths read back through the parent links.
     """
     labels, unit_of_class, words = _alphabet_tables(emissions.unit_labels, emissions.blank_index, lm)
     alpha = config.lm_weight if lm is not None else 0.0
     beta = config.insertion_bonus
     prune_threshold = config.prune_threshold
     width = config.beam_width
+    size = len(labels)
     bounds = lm.bounds if lm is not None else [0.0]
 
-    # Beam entries: (-fused score, prefix, p_blank, p_nonblank, total mass),
-    # best first; prefixes are tuples of unit numbers.
-    beam: list[tuple[float, tuple[int, ...], float, float, float]] = [(0.0, (), 0.0, NEG_INF, 0.0)]
-    # prefix -> (cumulative lm log10, lm state); grows append-only, and only
-    # when there is an LM.
-    lm_cache: dict[tuple[int, ...], tuple[float, int]] = {(): (0.0, lm.start)} if lm is not None else {}
+    # The trie of prefixes built so far: node -> (parent, last unit, length,
+    # cumulative LM log10, LM state); node 0 is the empty prefix, whose last
+    # unit -1 is never live. child_of finds a node's child by node * size + unit.
+    nodes = [(-1, -1, 0, 0.0, lm.start if lm is not None else 0)]
+    child_of: dict[int, int] = {}
+
+    def path(node: int) -> list[int]:
+        """The node's unit numbers, from the root."""
+        units = []
+        while node:
+            node, unit = nodes[node][:2]
+            units.append(unit)
+        return units[::-1]
+
+    # Beam entries: (-fused score, node, p_blank, p_nonblank, total mass), best first.
+    beam: list[tuple[float, int, float, float, float]] = [(0.0, 0, 0.0, NEG_INF, 0.0)]
 
     for t, entries in enumerate(emissions.frames):
         live = {unit_of_class[c]: score for c, score in entries if score > prune_threshold}
@@ -253,39 +273,38 @@ def prefix_beam_search(
 
         # Pass 1: the kept prefixes, each with every mass that lands on it.
         # A prefix gets a candidate whenever its blank or its last unit is live.
-        kept = {prefix: (p_b, total) for _, prefix, p_b, _, total in beam}
-        candidates = []
-        for _, prefix, p_b, p_nb, total in beam:
-            score = live.get(prefix[-1]) if prefix else None
-            if blank is None and score is None:
-                continue
-            new_b = NEG_INF if blank is None else total + blank
-            new_nb = NEG_INF
-            if score is not None:
+        # floor holds the frame's best fused scores so far, at most width (as kept
+        # prefixes are); once width, its least is a floor for the k-th best.
+        kept = {node: (p_b, total) for _, node, p_b, _, total in beam}
+        candidates, floor = [], []
+        for _, node, p_b, p_nb, total in beam:
+            parent, last, length, cum, _ = nodes[node]
+            if (score := live.get(last)) is None:
+                if blank is None:
+                    continue
+                new_b = new_total = total + blank
+                new_nb = NEG_INF
+            else:
                 new_nb = p_nb + score   # the repeat merges unless a blank separated it
-                if (parent := kept.get(prefix[:-1])) is not None:
-                    q_b, q_total = parent
-                    if len(prefix) < 2 or prefix[-2] != prefix[-1]:
-                        new_nb = log10addexp(new_nb, q_total + score)
-                    elif q_b != NEG_INF:
-                        new_nb = log10addexp(new_nb, q_b + score)
-            # log10addexp(new_b, new_nb), with its -inf cases taken first.
-            new_total = (new_nb if new_b == NEG_INF else new_b if new_nb == NEG_INF
-                         else log10addexp(new_b, new_nb))
-            cum = lm_cache[prefix][0] if lm is not None else 0.0
-            candidates.append((-(new_total + alpha * cum + beta * len(prefix)), prefix, new_b, new_nb, new_total))
-        # The frame's best fused scores so far, at most width (as kept prefixes are);
-        # once width, the least is a floor for the k-th best. NaN would break the order.
-        floor = [-key for key, *_ in candidates if key == key]
-        heapq.heapify(floor)
+                if (q := kept.get(parent)) is not None:
+                    if nodes[parent][1] != last:
+                        new_nb = log10addexp(new_nb, q[1] + score)
+                    elif q[0] != NEG_INF:
+                        new_nb = log10addexp(new_nb, q[0] + score)
+                new_b = NEG_INF if blank is None else total + blank
+                new_total = log10addexp(new_b, new_nb)
+            fused = new_total + alpha * cum + beta * length
+            candidates.append((-fused, node, new_b, new_nb, new_total))
+            if fused == fused:   # not NaN, which would break the order
+                heapq.heappush(floor, fused)
         least = floor[0] if len(floor) == width else NEG_INF
 
         # Pass 2: children outside the beam, one mass each, skipped below the floor.
-        for _, prefix, p_b, _, total in beam:
-            last = prefix[-1] if prefix else None
-            cum, state = lm_cache[prefix] if lm is not None else (0.0, 0)
+        for _, node, p_b, _, total in beam:
+            _, last, length, cum, state = nodes[node]
             reach = alpha * (cum + bounds[state])
-            bonus = beta * (len(prefix) + 1)
+            bonus = beta * (length + 1)
+            base = node * size
             for unit, score in ranked:
                 if unit != last:
                     value = total + score
@@ -297,25 +316,25 @@ def prefix_beam_search(
                     value = p_b + score
                     if value + reach + bonus < least:
                         continue
-                child = prefix + (unit,)
-                if child in kept:
+                if (child := child_of.get(base + unit)) is None:
+                    logp, following = lm.score_token(state, words[unit]) if lm is not None else (0.0, 0)
+                    child = child_of[base + unit] = len(nodes)
+                    nodes.append((node, unit, length + 1, cum + logp, following))
+                elif child in kept:
                     continue   # pass 1 gave it this mass
-                if lm is not None:
-                    if (cached := lm_cache.get(child)) is None:
-                        logp, following = lm.score_token(state, words[unit])
-                        cached = lm_cache[child] = (cum + logp, following)
-                    child_cum = cached[0]
-                else:
-                    child_cum = 0.0
-                fused = value + alpha * child_cum + bonus
+                fused = value + alpha * nodes[child][3] + bonus
                 if fused < least:
                     continue
                 candidates.append((-fused, child, NEG_INF, value, value))
-                if fused == fused:   # not NaN
+                if fused == fused:
                     (heapq.heappush if len(floor) < width else heapq.heapreplace)(floor, fused)
                     least = floor[0] if len(floor) == width else NEG_INF
-        # Prefixes are unique, so ties on the score break by prefix alone.
+        # Nodes are unique, so ties on the score break by node; where one could
+        # decide what is kept or its order, they break by unit path, as labels sort.
         candidates.sort()
+        top = candidates[:width + 1]
+        if any(a[0] == b[0] for a, b in zip(top, top[1:])):
+            candidates.sort(key=lambda c: (c[0], path(c[1])))
         beam = candidates[:width]
         # Every kept fused score is finite, or -inf for a prefix of zero mass;
         # the sum of the keys is finite in the common case.
@@ -324,7 +343,7 @@ def prefix_beam_search(
                 if not (-math.inf < key < math.inf or key == math.inf and total == NEG_INF):
                     raise ValueError(f"frame {t}: fused score is not finite; lm_weight or insertion_bonus overflows")
 
-    return [(tuple(labels[u] for u in prefix), -key) for key, prefix, *_ in beam]
+    return [(tuple(labels[u] for u in path(node)), -key) for key, node, *_ in beam]
 
 
 @functools.lru_cache(maxsize=8)

@@ -39,6 +39,10 @@ BOS_LOG10 = -99.0  # conventional placeholder score for the begin marker
 
 MAX_ORDER = 6
 
+# How far a context's probabilities may sum from 1, as an emission row's may:
+# ARPA files print 6-7 significant digits, so real LMs miss 1 by about 1e-6.
+MASS_TOLERANCE = 1e-5
+
 
 class InvalidDiscount(ValueError):
     """Discount must lie strictly inside (0, 1)."""
@@ -50,6 +54,10 @@ class MalformedArpa(ValueError):
 
 class OutOfVocabulary(ValueError):
     """A token outside the vocabulary, scored by a model that has no ``<unk>``."""
+
+
+class NotNormalized(ValueError):
+    """A context's probabilities do not sum to 1."""
 
 
 def _count_ngrams(sentences: Sequence[Sequence[str]], order: int) -> list[dict[tuple[str, ...], int]]:
@@ -142,6 +150,34 @@ class NGramModel:
                     bound = penalty + top[at]
             bounds.append(bound)
         return bounds
+
+    def check_normalized(self) -> None:
+        """NotNormalized naming the first context whose probabilities, over every
+        word but ``<s>`` (never predicted), sum to more than MASS_TOLERANCE from 1.
+
+        A state's mass is what it stores, plus 10**bow times what its parent gives
+        the words it does not store: the parent's mass less what the parent gives
+        the words it does (the backoff identity; Katz 1987). States ascend, so a
+        parent's mass is known first: one ``score_token`` query per stored n-gram."""
+        size, parent, bos = self._num_words, self._parent, self._words.get(BOS)
+        stored, lower = [[] for _ in parent], [[] for _ in parent]
+        for key, p in self._prob.items():
+            state, word = divmod(key, size)
+            if word != bos:
+                stored[state].append(10.0 ** p)
+                if state:
+                    lower[state].append(10.0 ** self.score_token(parent[state], word)[0])
+        masses = []
+        for state, bow in enumerate(self._backoff):
+            mass = math.fsum(stored[state])
+            if state:
+                bow = bow or 0.0
+                mass += (10.0 ** bow if bow < 308 else math.inf) * (masses[parent[state]] - math.fsum(lower[state]))
+            if not abs(mass - 1.0) <= MASS_TOLERANCE:   # NaN fails too
+                context = self.state_contexts()[state]
+                where = f"context {' '.join(context)!r}" if context else "unigrams"
+                raise NotNormalized(f"{where}: probabilities sum to {mass!r}, not 1 within {MASS_TOLERANCE}")
+            masses.append(mass)
 
     def word(self, token: str) -> int:
         """The word id of ``token``, or of ``<unk>`` for a token outside the

@@ -185,7 +185,7 @@ def test_transcribe_command(tmp_path, capsys):
 
     # A char LM without <unk> refuses a character it lacks, naming the line too.
     (tmp_path / "no_unk.arpa").write_text(
-        "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\t</s>\n-99.0\t<s>\n-0.3\t中\n\n\\end\\\n", encoding="utf-8")
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.30103\t</s>\n-99.0\t<s>\n-0.30103\t中\n\n\\end\\\n", encoding="utf-8")
     pinyin_file.write_text("\nzhong1 guo2\n", encoding="utf-8")
     code, out, err = run(capsys, "transcribe", "--input", str(pinyin_file), "--char-lm", str(tmp_path / "no_unk.arpa"))
     assert (code, out) == (1, "")
@@ -207,8 +207,8 @@ def test_transcribe_without_char_lm_exits_2_before_loading_the_lexicon(tmp_path,
     assert (code, out, err) == (2, "", "config error: transcribe needs --char-lm (an ARPA character LM)\n")
 
 
-GOOD_ARPA = "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n"
-BAD_ARPA = GOOD_ARPA.replace("-0.5", "x")   # line 5: bad log probability 'x'
+GOOD_ARPA = "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.30103\t</s>\n-0.30103\ta\n\n\\end\\\n"   # 0.5 each
+BAD_ARPA = GOOD_ARPA.replace("-0.30103", "x", 1)   # line 5: bad log probability 'x'
 
 
 @pytest.mark.parametrize("bad", ["char_lm", "pinyin_lm"])
@@ -262,8 +262,7 @@ def test_emission_file_error_names_its_file(tmp_path, small_corpus, capsys):
     assert err == f"error: {em_dir / 'utt_0001.em'}: line 1: header declares 2 frames, file has 1 rows\n"
     # A fusion LM that lacks a file's units: the file is named too.
     (em_dir / "utt_0001.em").write_text("1 1 1\nb\n0:0.0\n", encoding="utf-8")
-    (tmp_path / "units.arpa").write_text(GOOD_ARPA.replace("ngram 1=1", "ngram 1=3").replace(
-        "-0.5\ta\n", "-0.3\t</s>\n-99.0\t<s>\n-0.3\ta\n"), encoding="utf-8")
+    (tmp_path / "units.arpa").write_text(GOOD_ARPA, encoding="utf-8")
     code, out, err = run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(tmp_path / "units.arpa"))
     assert code == 1 and out.startswith("utt_0000\ta\t")
     assert err == f"error: {em_dir / 'utt_0001.em'}: units absent from LM vocabulary: ['b']\n"
@@ -438,13 +437,47 @@ def test_unit_lm_that_lacks_units_is_refused_naming_its_file(tmp_path, small_cor
     code, _, _ = run(capsys, "train-lm", "--train-corpus", str(small_corpus), "--char-lm-order", "2",
                      "--out-dir", str(tmp_path))
     assert code == 0
-    unit_lm.write_text("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.3\t</s>\n-99.0\t<s>\n-0.3\ta\n\n"
-                       "\\2-grams:\n-0.1\t<s> a\n\n\\end\\\n", encoding="utf-8")
+    unit_lm.write_text("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.30103\t</s>\n-99.0\t<s>\n-0.30103\ta\n\n"
+                       "\\2-grams:\n-0.30103\t<s> a\n\n\\end\\\n", encoding="utf-8")
     for path in (char_lm, unit_lm):
         code, out, err = run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--pinyin-lm", str(path),
                              "--out-dir", str(tmp_path / "out"))
         assert (code, out) == (1, "") and not (tmp_path / "out").exists()
         assert err == f"error: {path}: units absent from LM vocabulary: ['a1', 'a2', 'a3', 'a4', 'a5']\n"
+
+
+def test_char_lm_without_end_marker_is_refused_naming_its_file(tmp_path, small_corpus, capsys):
+    # Stage 2 scores each sentence's end, which a char LM without </s> would
+    # score as <unk>. Both commands that read a char LM refuse it as it loads.
+    lm = tmp_path / "no_end.arpa"
+    lm.write_text("\\data\\\nngram 1=2\n\n\\1-grams:\n-99.0\t<s>\n0.0\t<unk>\n\n\\end\\\n", encoding="utf-8")
+    want = (1, "", f"error: {lm}: char LM has no </s> to score a sentence's end\n")
+    pinyin_file = write_sentences(tmp_path / "p.txt", ["zhong1"])
+    assert run(capsys, "transcribe", "--input", str(pinyin_file), "--char-lm", str(lm)) == want
+    assert run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--char-lm", str(lm),
+               "--out-dir", str(tmp_path / "out")) == want
+    assert not (tmp_path / "out").exists()
+
+
+def test_lm_that_is_not_normalized_is_refused_naming_its_file(tmp_path, small_corpus, capsys):
+    # Unigrams of mass 3 * 10**-0.01, and a <s> context that stores a at 0.5
+    # but backs off by 10**-0.5 (0 would make it sum to 1).
+    unigrams = tmp_path / "unigrams.arpa"
+    unigrams.write_text("\\data\\\nngram 1=4\n\n\\1-grams:\n-0.01\t</s>\n-99.0\t<s>\n-0.01\t<unk>\n-0.01\t中\n\n"
+                        "\\end\\\n", encoding="utf-8")
+    pinyin_file = write_sentences(tmp_path / "p.txt", ["zhong1"])
+    assert run(capsys, "transcribe", "--input", str(pinyin_file), "--char-lm", str(unigrams)) == (
+        1, "", f"error: {unigrams}: unigrams: probabilities sum to {3 * 10 ** -0.01!r}, not 1 within 1e-05\n")
+    backoff = tmp_path / "backoff.arpa"
+    backoff.write_text("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.30103\t</s>\n-99.0\t<s>\t-0.5\n"
+                       "-0.30103\ta\n\n\\2-grams:\n-0.30103\t<s> a\n\n\\end\\\n", encoding="utf-8")
+    em_dir = tmp_path / "em"
+    em_dir.mkdir()
+    (em_dir / "utt_0000.em").write_text("1 1 1\na\n0:0.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(backoff))
+    assert (code, out) == (1, "") and err.startswith(f"error: {backoff}: context '<s>': probabilities sum to 0.658")
+    assert run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--pinyin-lm", str(backoff),
+               "--out-dir", str(tmp_path / "out")) == (code, out, err)
 
 
 def test_frame_with_no_live_class_fails_naming_the_frame(tmp_path, small_corpus, capsys):

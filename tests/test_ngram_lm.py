@@ -14,9 +14,11 @@ from pinasr.ngram_lm import (
     BOS,
     EOS,
     UNK,
+    MASS_TOLERANCE,
     InvalidDiscount,
     MalformedArpa,
     NGramModel,
+    NotNormalized,
     OutOfVocabulary,
     _count_ngrams,
     read_arpa,
@@ -455,6 +457,58 @@ def test_bounds_hold_every_query_from_their_state(model):
     for state in range(len(model.state_contexts())):
         for word in words:
             assert model.score_token(state, word)[0] <= model.bounds[state]
+
+
+@given(LM_MODELS)
+@settings(max_examples=150, deadline=None)
+def test_mass_check_agrees_with_summing_every_word(model):
+    # The backoff identity against the plain sum of score_token over every
+    # predicted word, state by state; trained models pass, most drawn tables do not.
+    words = [model.word(token) for token in model.vocabulary if token != BOS]
+    off = max(abs(math.fsum(10.0 ** model.score_token(state, word)[0] for word in words) - 1.0)
+              for state in range(len(model.state_contexts())))
+    if off <= MASS_TOLERANCE / 2:
+        model.check_normalized()
+    elif off > 2 * MASS_TOLERANCE:
+        with pytest.raises(NotNormalized):
+            model.check_normalized()
+
+
+def exact_log10(x: float) -> float:
+    """A float p with 10.0 ** p == x exactly."""
+    p = math.log10(x)
+    while (value := 10.0 ** p) != x:
+        p = math.nextafter(p, math.inf if value < x else -math.inf)
+    return p
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_mass_tolerance_holds_to_the_ulp(side):
+    # Two unigrams, 0.5 and m - 0.5, whose mass m is the last float within
+    # MASS_TOLERANCE of 1 on one side, and then the next float out.
+    edge = 1.0 + side * MASS_TOLERANCE
+    while abs(edge - 1.0) > MASS_TOLERANCE:
+        edge = math.nextafter(edge, 1.0)
+    beyond = math.nextafter(edge, 1.0 + side)
+    assert abs(beyond - 1.0) > MASS_TOLERANCE
+    for mass in (edge, beyond):
+        text = f"\\data\\\nngram 1=3\n\n\\1-grams:\n{exact_log10(0.5)!r}\t</s>\n-99.0\t<s>\n" \
+               f"{exact_log10(mass - 0.5)!r}\ta\n\n\\end\\\n"
+        model = read_arpa(io.StringIO(text))   # a parser only: it reads either
+        if mass == edge:
+            model.check_normalized()
+        else:
+            with pytest.raises(NotNormalized, match=f"^unigrams: probabilities sum to {mass!r}, not 1 within 1e-05$"):
+                model.check_normalized()
+
+
+def test_mass_check_names_a_context_whose_backoff_weight_is_wrong():
+    # <s> stores a at 0.5 and backs off by 10**-0.5 to unigrams that give the rest 0.5.
+    text = ("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.30103\t</s>\n-99.0\t<s>\t-0.5\n-0.30103\ta\n\n"
+            "\\2-grams:\n-0.30103\t<s> a\n\n\\end\\\n")
+    read_arpa(io.StringIO(text.replace("\t-0.5", ""))).check_normalized()
+    with pytest.raises(NotNormalized, match=r"^context '<s>': probabilities sum to 0\.658"):
+        read_arpa(io.StringIO(text)).check_normalized()
 
 
 def test_state_closes_missing_prefixes():
