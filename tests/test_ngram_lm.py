@@ -502,15 +502,6 @@ def test_mass_tolerance_holds_to_the_ulp(side):
                 model.check_normalized()
 
 
-def test_mass_check_names_a_context_whose_backoff_weight_is_wrong():
-    # <s> stores a at 0.5 and backs off by 10**-0.5 to unigrams that give the rest 0.5.
-    text = ("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.30103\t</s>\n-99.0\t<s>\t-0.5\n-0.30103\ta\n\n"
-            "\\2-grams:\n-0.30103\t<s> a\n\n\\end\\\n")
-    read_arpa(io.StringIO(text.replace("\t-0.5", ""))).check_normalized()
-    with pytest.raises(NotNormalized, match=r"^context '<s>': probabilities sum to 0\.658"):
-        read_arpa(io.StringIO(text)).check_normalized()
-
-
 def test_state_closes_missing_prefixes():
     # The trigram a b c is stored without a bigram or backoff weight for
     # "a b", and nothing is stored after "a": the state after "x a" must
