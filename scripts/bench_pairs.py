@@ -22,8 +22,12 @@ are equal.
 Each pair also records whether both sides' ``outputs_sha256`` are equal,
 so a change that must not move any output shows that it did not. Each
 side's environment is recorded before its first run: the Python that runs
-the benchmark, ``PYTHONDONTWRITEBYTECODE``, ``PYTHONHASHSEED`` and whether
-``src/pinasr/__pycache__`` exists, so two files' baselines can be told apart.
+the benchmark, ``PYTHONDONTWRITEBYTECODE``, ``PYTHONHASHSEED``, whether
+``src/pinasr/__pycache__`` exists and that ``src/`` was then compiled, so two
+files' baselines can be told apart. Each checkout's ``src/`` is compiled to
+bytecode (``python3 -m compileall -q src``) before its first run, as an
+installed package has it: with ``PYTHONDONTWRITEBYTECODE`` set, every run
+would otherwise compile pinasr again.
 """
 
 from __future__ import annotations
@@ -130,6 +134,9 @@ def main(argv=None) -> int:
 
     record = {side: commit(checkout) for side, checkout in checkouts.items()}
     record["environment"] = {side: environment(checkout) for side, checkout in checkouts.items()}
+    for side, checkout in checkouts.items():   # the runs read this bytecode; compileall writes it despite the variable
+        subprocess.run(["python3", "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
+        record["environment"][side]["compiled"] = True
     record["runs"] = []
 
     def keep(side: str, run: dict) -> None:

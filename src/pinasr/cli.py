@@ -28,7 +28,7 @@ from . import ambiguity, assets, metrics, ngram_lm, transcriber
 from .corpus import FilterResult, build_parallel, check_length_bounds, filter_sentences, read_parallel_tsv
 from .ctc import DecoderConfig, EmissionMatrix, check_alphabet, prefix_beam_search, read_emissions, write_emissions
 from .ngram_lm import NGramModel
-from .pinyin import PronunciationLexicon, SyllableInventory, strip_tone
+from .pinyin import PronunciationLexicon, SyllableInventory, parse_syllable, strip_tone
 from .simulate import SimConfig, synth_emissions
 
 
@@ -94,7 +94,7 @@ class PipelineConfig:
 def parse_config_file(path: str) -> dict:
     values = {}
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, raw in enumerate(_read(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -157,34 +157,31 @@ def _existing(path: str) -> Path:
     return p
 
 
-def _read_text(path) -> str:
-    """The text of the UTF-8 file ``path``: a ConfigError if it is missing, a ValueError naming it if not UTF-8."""
+def _read(path, parse=lambda fh: fh.read().splitlines(), *args):
+    """``parse(fh, *args)`` of the UTF-8 file ``path``, by default its lines: a ConfigError if it is missing,
+    a ValueError naming it if it is not UTF-8 or ``parse`` fails."""
     p = _existing(path)
-    with _naming(p):
-        return p.read_text(encoding="utf-8")
+    with open(p, encoding="utf-8") as fh, _naming(p):
+        return parse(fh, *args)
 
 
 def _read_lines(path: str, bundled: str) -> list[str]:
     """The non-blank lines of ``path``, or with no path of the bundled file ``bundled``."""
     if not path:
         return assets.read_sentences(bundled)
-    return [line for line in _read_text(path).splitlines() if line.strip()]
+    return [line for line in _read(path) if line.strip()]
 
 
-def _read_arpa(path: str) -> NGramModel:
-    """The LM at ``path``; a ValueError naming the file unless it parses and is normalized."""
-    with open(_existing(path), encoding="utf-8") as fh, _naming(path):   # MalformedArpa, or text that is not UTF-8
+def _read_lm(path: str, needs) -> NGramModel:
+    """The LM at ``path``, refused as it loads, naming the file, unless it parses, is normalized and has every
+    token of ``needs``: the alphabet of a unit LM, ``</s>`` of a char LM (stage 2 scores each sentence's end)."""
+    def parse(fh) -> NGramModel:
         model = ngram_lm.read_arpa(fh)
         model.check_normalized()
+        check_alphabet(needs, model)
         return model
 
-
-def _read_char_lm(path: str) -> NGramModel:
-    """The char LM at ``path``; stage 2 scores each sentence's end, so it must predict ``</s>``."""
-    model = _read_arpa(path)
-    if ngram_lm.EOS not in model.vocabulary:
-        raise ValueError(f"{path}: char LM has no {ngram_lm.EOS} to score a sentence's end")
-    return model
+    return _read(path, parse)
 
 
 def _report_dropped(name: str, source, lines: list[str], sentences, corpus) -> None:
@@ -247,23 +244,20 @@ class Pipeline:
     def lms(self) -> tuple[NGramModel | None, NGramModel]:
         """The unit LM (None with ``use_pinyin_lm`` off) and the char LM, each
         read from its ARPA path or else trained on the train corpus's
-        utterances (read only if a model is trained). A ValueError names the
-        file of a read LM that is not normalized, of a read char LM without
-        ``</s>``, and, once both are read, of a read unit LM that lacks units of
-        the alphabet."""
+        utterances (read only if a model is trained). Each read LM is refused as
+        it loads (see _read_lm); a trained unit LM is closed over the alphabet."""
         c = self.config
         train_needed = not c.char_lm or (c.use_pinyin_lm and not c.pinyin_lm)
         train = self.utterances(c.train_corpus, "corpus_train.txt", "train") if train_needed else []
 
-        def lm(read, path: str, corpus, order: int, vocabulary=None) -> NGramModel:
-            return read(path) if path else ngram_lm.train(corpus, order, c.lm_discount, c.min_count, vocabulary)
+        def lm(path: str, needs, corpus, order: int, vocabulary=None) -> NGramModel:
+            if path:
+                return _read_lm(path, needs)
+            return ngram_lm.train(corpus, order, c.lm_discount, c.min_count, vocabulary)
 
-        unit_lm = (lm(_read_arpa, c.pinyin_lm, [u for _, u in train], c.pinyin_lm_order, self.alphabet)
+        unit_lm = (lm(c.pinyin_lm, self.alphabet, [u for _, u in train], c.pinyin_lm_order, self.alphabet)
                    if c.use_pinyin_lm else None)
-        char_lm = lm(_read_char_lm, c.char_lm, [list(h) for h, _ in train], c.char_lm_order)
-        if unit_lm is not None and c.pinyin_lm:   # a trained unit LM is closed over the alphabet
-            with _naming(c.pinyin_lm):
-                check_alphabet(self.alphabet, unit_lm)
+        char_lm = lm(c.char_lm, (ngram_lm.EOS,), [list(h) for h, _ in train], c.char_lm_order)
         return unit_lm, char_lm
 
     def transcribe(self, units: list[str], char_lm: NGramModel, lenient: bool = True):
@@ -285,12 +279,6 @@ class PipelineResult:
     scores: dict[str, metrics.ScoreReport]   # uer, uer_tone_stripped (tonal units only), cer
 
 
-def _read_emission_file(path: Path) -> EmissionMatrix:
-    """The emissions in ``path``; a read error names the file first."""
-    with open(path, encoding="utf-8") as fh, _naming(path):
-        return read_emissions(fh)
-
-
 def _check_refs(path: Path, lines: list[str], utterances) -> None:
     """Fail unless ``lines``, those of synth's refs.tsv at ``path``, list exactly
     these utterances, in order, so ingested emissions are scored against their own references."""
@@ -306,7 +294,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Synthesize (or ingest), decode, transcribe and score every eval
     utterance. A failing utterance raises ValueError naming its stage."""
     refs = Path(config.emissions_dir) / "refs.tsv"
-    ref_lines = _read_text(refs).splitlines() if config.emissions_dir else []   # missing: ConfigError, before any work
+    ref_lines = _read(refs) if config.emissions_dir else []   # missing: ConfigError, before any work
     pipe = Pipeline(config)
     evals = pipe.utterances(config.eval_corpus, "corpus_heldout.txt", "eval")
     if not evals:
@@ -321,7 +309,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         stage = "ingest" if config.emissions_dir else "synthesize"
         try:
             if config.emissions_dir:
-                emissions = _read_emission_file(Path(config.emissions_dir) / f"utt_{index:04d}.em")
+                emissions = _read(Path(config.emissions_dir) / f"utt_{index:04d}.em", read_emissions)
             else:
                 emissions = pipe.synthesize(units, index)
             stage = "decode"
@@ -405,14 +393,15 @@ def cmd_train_lm(args, config: PipelineConfig) -> int:
 
 
 def cmd_decode(args, config: PipelineConfig) -> int:
-    lm = _read_arpa(config.pinyin_lm) if config.pinyin_lm and config.use_pinyin_lm else None
+    # The alphabet comes from each .em header, so it is checked per file.
+    lm = _read_lm(config.pinyin_lm, ()) if config.pinyin_lm and config.use_pinyin_lm else None
     decoder = decoder_config(config)
     source = Path(args.emissions)
     files = sorted(source.glob("*.em")) if source.is_dir() else [_existing(args.emissions)]
     if not files:
         raise ConfigError(f"no *.em files under {source}")
     for path in files:
-        emissions = _read_emission_file(path)
+        emissions = _read(path, read_emissions)
         with _naming(path):   # the LM may lack units of this file
             units, score = prefix_beam_search(emissions, lm, decoder)[0]
         print(f"{path.stem}\t{' '.join(units)}\t{score:.6f}")
@@ -423,8 +412,8 @@ def cmd_transcribe(args, config: PipelineConfig) -> int:
     if not config.char_lm:
         raise ConfigError("transcribe needs --char-lm (an ARPA character LM)")
     pipe = Pipeline(config)
-    char_lm = _read_char_lm(config.char_lm)
-    for lineno, line in enumerate(_read_text(args.input).splitlines(), 1):
+    char_lm = _read_lm(config.char_lm, (ngram_lm.EOS,))
+    for lineno, line in enumerate(_read(args.input), 1):
         if not line.strip():
             continue
         with _naming(f"{args.input}:{lineno}"):   # NoCandidate, or OutOfVocabulary without <unk>
@@ -434,12 +423,12 @@ def cmd_transcribe(args, config: PipelineConfig) -> int:
 
 
 def cmd_stats(args, config: PipelineConfig) -> int:
+    if args.n_max < 1:
+        raise ConfigError(f"n_max must be >= 1, got {args.n_max}")
     pipe = Pipeline(config)
-    source = args.parallel or args.corpus
-    name = _existing(source) if source else "corpus_toy20.txt"   # a missing file: ConfigError, exit 2
+    name = args.parallel or args.corpus or "corpus_toy20.txt"
     if args.parallel:
-        with open(args.parallel, encoding="utf-8") as fh, _naming(name):
-            corpus = read_parallel_tsv(fh, pipe.inventory)
+        corpus = _read(args.parallel, read_parallel_tsv, pipe.inventory)
     else:
         lines = _read_lines(args.corpus, "corpus_toy20.txt")   # names its file
         corpus = build_parallel(lines, pipe.lexicon)
@@ -453,20 +442,28 @@ def cmd_stats(args, config: PipelineConfig) -> int:
 
 
 def cmd_score(args, config: PipelineConfig) -> int:
-    def read_tokens(path):
-        lines = _read_text(path).splitlines()
-        return [list(l) if args.chars else l.split() for l in lines]
-
     inventory = Pipeline(config).inventory if args.tone_stripped else None
+
+    def read_tokens(path):
+        return [list(l) if args.chars else l.split() for l in _read(path)]
+
+    def tone_stripped(path, rows):   # every unit must parse as a tonal unit
+        for lineno, tokens in enumerate(rows, 1):
+            with _naming(f"{path}:{lineno}"):
+                yield [strip_tone(parse_syllable(t, inventory)) for t in tokens]
+
     refs, hyps = read_tokens(args.refs), read_tokens(args.hyps)
-    report = metrics.error_rate(refs, hyps)
-    metrics.write_report_tsv(report, sys.stdout)
-    if args.tone_stripped:
-        stripped = metrics.tone_stripped_rescore(refs, hyps, inventory)
-        metrics.write_report_tsv(stripped, sys.stdout, label="tone_stripped")
+    if len(refs) != len(hyps):
+        raise ValueError(f"{len(refs)} references in {args.refs} vs {len(hyps)} hypotheses in {args.hyps}")
+    reports = {"error_rate": metrics.error_rate(refs, hyps)}
+    if args.tone_stripped:   # checked and scored before anything is written
+        reports["tone_stripped"] = metrics.error_rate([*tone_stripped(args.refs, refs)],
+                                                      [*tone_stripped(args.hyps, hyps)])
     if args.jsonl:
         with atomic_open(Path(args.jsonl)) as fh:
-            metrics.write_report_jsonl(report, fh)
+            metrics.write_report_jsonl(reports["error_rate"], fh)
+    for label, report in reports.items():
+        metrics.write_report_tsv(report, sys.stdout, label=label)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Lexicon-free CTC decoding over unit emissions.
 
-Greedy decode, prefix beam search with shallow n-gram LM fusion, and the
-``.em`` emission files (the forward algorithm and the brute-force oracle
+Prefix beam search with shallow n-gram LM fusion, and the ``.em`` emission
+files (greedy decoding, the forward algorithm and the brute-force oracle
 for small instances are in tests/reference_impls.py).
 Every modeling unit is its own decoding token (the "dummy lexicon" view),
 so no word lexicon is involved anywhere.
@@ -46,7 +46,7 @@ _LN10 = math.log(10.0)
 
 
 class VocabularyMismatch(ValueError):
-    """The fusion LM does not cover the emission unit alphabet."""
+    """An LM lacks tokens its role needs: the emission unit alphabet, or a char LM's ``</s>``."""
 
 
 class InvalidEmissions(ValueError):
@@ -136,26 +136,6 @@ class EmissionMatrix:
         return grid
 
 
-def collapse_alignment(frames: Sequence[int], blank: int) -> list[int]:
-    """Standard CTC collapse: merge adjacent repeats, then delete blanks."""
-    out: list[int] = []
-    previous = None
-    for label in frames:
-        if label != previous:
-            if label != blank:
-                out.append(label)
-            previous = label
-    return out
-
-
-def greedy_decode(emissions: EmissionMatrix) -> list[str]:
-    """Per-frame argmax (ties go to the lower class index) then collapse."""
-    # max keeps the first of equal maxima, and entries ascend by class.
-    frames = [max(entries, key=itemgetter(1))[0] for entries in emissions.frames]
-    blank = emissions.blank_index
-    return [emissions.unit_labels[c if c < blank else c - 1] for c in collapse_alignment(frames, blank)]
-
-
 @dataclass(frozen=True)
 class DecoderConfig:
     """Beam search knobs. ``prune_threshold`` is a per-frame log10 floor;
@@ -179,10 +159,10 @@ class DecoderConfig:
             raise ValueError(f"prune_threshold must be below +inf, got {self.prune_threshold}")
 
 
-def check_alphabet(unit_labels: Sequence[str], lm: NGramModel) -> None:
-    """VocabularyMismatch naming the first units of ``unit_labels`` that ``lm`` lacks."""
-    if missing := [u for u in unit_labels if u not in lm.vocabulary]:
-        raise VocabularyMismatch(f"units absent from LM vocabulary: {missing[:5]}")
+def check_alphabet(tokens: Sequence[str], lm: NGramModel) -> None:
+    """VocabularyMismatch naming the first of ``tokens`` (emission units, or a char LM's ``</s>``) that ``lm`` lacks."""
+    if missing := [t for t in tokens if t not in lm.vocabulary]:
+        raise VocabularyMismatch(f"tokens absent from LM vocabulary: {missing[:5]}")
 
 
 @functools.lru_cache(maxsize=8)

@@ -116,11 +116,14 @@ def beam_transcribe(
     Only that exact search is bound to find what a search keyed by the raw
     last order-1 characters finds: a pruned beam keeps ``beam_width``
     distinct LM states, so other paths may survive than in the raw one.
+    Raises ValueError naming the first position, or the sentence end, where
+    no kept score is finite (an overflowing ``channel_weight``).
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     # state -> (score, prefix)
     states: dict[int, tuple[float, tuple[str, ...]]] = {char_lm.start: (0.0, ())}
+    kept = []   # each position's states, read only when the result is not finite
     for candidates in lattice.positions:
         scored = [(char, char_lm.word(char), channel_weight * weight) for char, weight in candidates]
         new_states: dict[int, tuple[float, tuple[str, ...]]] = {}
@@ -135,7 +138,12 @@ def beam_transcribe(
             ranked = sorted(new_states.items(), key=lambda item: (-item[1][0], item[1][1]))
             new_states = dict(ranked[:beam_width])
         states = new_states
+        kept.append(states)
     end = char_lm.word(EOS)
     finals = ((score + char_lm.score_token(state, end)[0], prefix) for state, (score, prefix) in states.items())
     score, prefix = min(finals, key=lambda item: (-item[0], item[1]))
+    if not -math.inf < score < math.inf:   # NaN fails both comparisons
+        where = next((f"position {i}" for i, held in enumerate(kept)
+                      if not any(-math.inf < s < math.inf for s, _ in held.values())), "sentence end")
+        raise ValueError(f"{where}: transcription score is not finite; channel_weight overflows")
     return TranscriptionResult(hanzi="".join(prefix), total_score=score)

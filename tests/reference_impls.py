@@ -10,6 +10,7 @@ import math
 import weakref
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 from hypothesis import strategies as st
@@ -100,6 +101,26 @@ def all_pairs_confusion_map(alphabet, policy):
                 confusable.append(i)
         out[label] = tuple(confusable)
     return out
+
+
+def collapse_alignment(frames, blank: int) -> list[int]:
+    """Standard CTC collapse: merge adjacent repeats, then delete blanks."""
+    out: list[int] = []
+    previous = None
+    for label in frames:
+        if label != previous:
+            if label != blank:
+                out.append(label)
+            previous = label
+    return out
+
+
+def greedy_decode(emissions: EmissionMatrix) -> list[str]:
+    """Per-frame argmax (ties go to the lower class index) then collapse."""
+    # max keeps the first of equal maxima, and entries ascend by class.
+    frames = [max(entries, key=itemgetter(1))[0] for entries in emissions.frames]
+    blank = emissions.blank_index
+    return [emissions.unit_labels[c if c < blank else c - 1] for c in collapse_alignment(frames, blank)]
 
 
 def enumerate_ctc_distribution(emissions):

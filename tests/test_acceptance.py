@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Oracle-based and directional checks over the whole toolkit; the noisy-suite
-thresholds were established once by scripts/noise_sweep.py and are pinned
+thresholds were established once by tests/noise_sweep.py and are pinned
 in fixtures/pinned.json.
 """
 

@@ -217,8 +217,10 @@ def test_malformed_lm_error_names_its_file(tmp_path, small_corpus, capsys, bad):
     for key, path in paths.items():
         path.write_text(BAD_ARPA if key == bad else GOOD_ARPA, encoding="utf-8")
     want = f"error: {paths[bad]}: line 5: bad log probability 'x'\n"
+    # GOOD_ARPA lacks the unit alphabet, so the char LM's case reads no unit LM.
+    unit_lm = ["--pinyin-lm", str(paths["pinyin_lm"])] if bad == "pinyin_lm" else ["--no-use-pinyin-lm"]
     code, out, err = run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--char-lm", str(paths["char_lm"]),
-                         "--pinyin-lm", str(paths["pinyin_lm"]), "--out-dir", str(tmp_path / "out"))
+                         *unit_lm, "--out-dir", str(tmp_path / "out"))
     assert (code, out, err) == (1, "", want)
     if bad == "char_lm":
         pinyin_file = write_sentences(tmp_path / "p.txt", ["zhong1 guo2"])
@@ -228,6 +230,18 @@ def test_malformed_lm_error_names_its_file(tmp_path, small_corpus, capsys, bad):
         em_dir.mkdir()
         (em_dir / "utt_0000.em").write_text("1 1 1\na\n0:0.0\n", encoding="utf-8")
         assert run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(paths[bad])) == (1, "", want)
+
+
+def test_each_read_lm_is_refused_as_it_loads(tmp_path, small_corpus, capsys):
+    # The unit LM, read first, lacks units of the alphabet; it is refused
+    # before the malformed char LM is read.
+    unit_lm, char_lm = tmp_path / "units.arpa", tmp_path / "char.arpa"
+    unit_lm.write_text(GOOD_ARPA, encoding="utf-8")
+    char_lm.write_text(BAD_ARPA, encoding="utf-8")
+    assert run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--char-lm", str(char_lm),
+               "--pinyin-lm", str(unit_lm), "--out-dir", str(tmp_path / "out")) == (
+        1, "", f"error: {unit_lm}: tokens absent from LM vocabulary: ['a1', 'a2', 'a3', 'a4', 'a5']\n")
+    assert not (tmp_path / "out").exists()
 
 
 NO_START_ARPA = ("\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-0.3\t</s>\n-0.3\ta\n\n"
@@ -265,7 +279,7 @@ def test_emission_file_error_names_its_file(tmp_path, small_corpus, capsys):
     (tmp_path / "units.arpa").write_text(GOOD_ARPA, encoding="utf-8")
     code, out, err = run(capsys, "decode", "--emissions", str(em_dir), "--pinyin-lm", str(tmp_path / "units.arpa"))
     assert code == 1 and out.startswith("utt_0000\ta\t")
-    assert err == f"error: {em_dir / 'utt_0001.em'}: units absent from LM vocabulary: ['b']\n"
+    assert err == f"error: {em_dir / 'utt_0001.em'}: tokens absent from LM vocabulary: ['b']\n"
     # pipeline --emissions-dir blames the ingest stage and names the file too.
     synth_dir = tmp_path / "synth"
     assert run(capsys, "synth", "--eval-corpus", str(small_corpus), "--out-dir", str(synth_dir))[0] == 0
@@ -352,6 +366,7 @@ def test_validate_assets_command(capsys):
         ("pipeline", "--insertion-bonus", "inf"),
         ("decode", "--insertion-bonus", "nan"),
         ("pipeline", "--prune-threshold", "nan"),
+        ("stats", "--n-max", "0"),
     ],
     ids=["synth-unit-mode", "synth-confusion-policy", "pipeline-unit-mode", "transcribe-unit-mode",
          "stats-unit-mode", "score-confusion-policy", "decode-unit-mode", "score-plain-confusion-policy",
@@ -359,7 +374,7 @@ def test_validate_assets_command(capsys):
          "train-lm-lm-discount", "decode-lm-discount", "pipeline-beam-width", "pipeline-lm-weight",
          "pipeline-transcriber-beam", "pipeline-frames-per-unit", "pipeline-blank-fill", "pipeline-min-len",
          "pipeline-lm-weight-nan", "pipeline-lm-weight-inf", "pipeline-insertion-bonus-inf",
-         "decode-insertion-bonus-nan", "pipeline-prune-threshold-nan"],
+         "decode-insertion-bonus-nan", "pipeline-prune-threshold-nan", "stats-n-max"],
 )
 def test_bad_unit_mode_or_confusion_policy_exits_2_and_writes_nothing(tmp_path, small_corpus, capsys, argv):
     extra = {
@@ -431,8 +446,8 @@ def test_pipeline_ingest_matches_synthesized_run(tmp_path, small_corpus, capsys)
 
 def test_unit_lm_that_lacks_units_is_refused_naming_its_file(tmp_path, small_corpus, capsys):
     # A char LM passed as the unit LM, and a bigram unit LM over a alone,
-    # lack units of the alphabet. Each is refused once both LMs are read,
-    # naming its ARPA file, before any utterance is synthesized.
+    # lack units of the alphabet. Each is refused as it loads, naming its
+    # ARPA file, before any utterance is synthesized.
     char_lm, unit_lm = tmp_path / "char.arpa", tmp_path / "units.arpa"
     code, _, _ = run(capsys, "train-lm", "--train-corpus", str(small_corpus), "--char-lm-order", "2",
                      "--out-dir", str(tmp_path))
@@ -443,7 +458,7 @@ def test_unit_lm_that_lacks_units_is_refused_naming_its_file(tmp_path, small_cor
         code, out, err = run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--pinyin-lm", str(path),
                              "--out-dir", str(tmp_path / "out"))
         assert (code, out) == (1, "") and not (tmp_path / "out").exists()
-        assert err == f"error: {path}: units absent from LM vocabulary: ['a1', 'a2', 'a3', 'a4', 'a5']\n"
+        assert err == f"error: {path}: tokens absent from LM vocabulary: ['a1', 'a2', 'a3', 'a4', 'a5']\n"
 
 
 def test_char_lm_without_end_marker_is_refused_naming_its_file(tmp_path, small_corpus, capsys):
@@ -451,7 +466,7 @@ def test_char_lm_without_end_marker_is_refused_naming_its_file(tmp_path, small_c
     # score as <unk>. Both commands that read a char LM refuse it as it loads.
     lm = tmp_path / "no_end.arpa"
     lm.write_text("\\data\\\nngram 1=2\n\n\\1-grams:\n-99.0\t<s>\n0.0\t<unk>\n\n\\end\\\n", encoding="utf-8")
-    want = (1, "", f"error: {lm}: char LM has no </s> to score a sentence's end\n")
+    want = (1, "", f"error: {lm}: tokens absent from LM vocabulary: ['</s>']\n")
     pinyin_file = write_sentences(tmp_path / "p.txt", ["zhong1"])
     assert run(capsys, "transcribe", "--input", str(pinyin_file), "--char-lm", str(lm)) == want
     assert run(capsys, "pipeline", "--eval-corpus", str(small_corpus), "--char-lm", str(lm),
@@ -738,6 +753,21 @@ def test_score_writes_per_utterance_jsonl(tmp_path, capsys):
     assert detail.read_text(encoding="utf-8") == (
         '{"deletions": 0, "distance": 2, "index": 0, "insertions": 1, "ref_len": 3, "substitutions": 1}\n'
         '{"deletions": 0, "distance": 0, "index": 1, "insertions": 0, "ref_len": 1, "substitutions": 0}\n')
+
+
+@pytest.mark.parametrize("case", ["count", "unit"])
+def test_score_checks_both_files_before_writing_anything(tmp_path, capsys, case):
+    refs, hyps, detail = tmp_path / "refs.txt", tmp_path / "hyps.txt", tmp_path / "detail.jsonl"
+    refs.write_text("zhong1 guo2\nni3\n", encoding="utf-8")
+    if case == "count":
+        hyps.write_text("zhong1 guo2\n", encoding="utf-8")
+        want = f"error: 2 references in {refs} vs 1 hypotheses in {hyps}\n"
+    else:
+        hyps.write_text("zhong1 guo2\nxx9\n", encoding="utf-8")
+        want = f"error: {hyps}:2: tone digit out of range in 'xx9'\n"
+    assert run(capsys, "score", "--refs", str(refs), "--hyps", str(hyps), "--tone-stripped",
+               "--jsonl", str(detail)) == (1, "", want)
+    assert not detail.exists()
 
 
 def test_score_all_empty_references_warns(tmp_path, capsys):

@@ -11,8 +11,6 @@ from pinasr.ctc import (
     EmissionMatrix,
     InvalidEmissions,
     VocabularyMismatch,
-    collapse_alignment,
-    greedy_decode,
     log10addexp,
     prefix_beam_search,
     read_emissions,
@@ -26,8 +24,10 @@ from reference_impls import (
     InstanceTooLarge,
     brute_force_decode,
     closure_prefix_beam_search,
+    collapse_alignment,
     dense_emissions,
     enumerate_ctc_distribution,
+    greedy_decode,
     min_frames_required,
     reference_score,
     sequence_logprob,

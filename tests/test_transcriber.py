@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pinasr import assets
+from pinasr.cli import Pipeline, PipelineConfig
 from pinasr.ngram_lm import UNK, NGramModel, OutOfVocabulary, read_arpa, train
 from pinasr.pinyin import PronunciationLexicon
 from pinasr.transcriber import (
@@ -213,6 +214,23 @@ def test_beam_width_one_is_greedy_chain():
         context = (context + (best[0],))[-1:]
         chars.append(best[0])
     assert result.hanzi == "".join(chars)
+
+
+def test_score_that_is_not_finite_names_where_it_stops_being_finite(lexicon):
+    # Position 0 falls back to one character at the flat -3.0 penalty, which
+    # 1e308 times overflows to -inf; 1e307 times it is a finite -3e307.
+    char_lm = Pipeline(PipelineConfig(use_pinyin_lm=False)).lms()[1]
+    lattice = build_lattice_lenient(["ang1", "zhong1"], lexicon)
+    assert lattice.positions[0] == (("的", -3.0),)
+    assert math.isfinite(beam_transcribe(lattice, char_lm, 1e307).total_score)
+    with pytest.raises(ValueError, match="^position 0: transcription score is not finite; channel_weight overflows$"):
+        beam_transcribe(lattice, char_lm, 1e308)
+    # Finite at every position, the sum overflows only at the sentence end.
+    end_lm = read_arpa(io.StringIO("\\data\\\nngram 1=3\n\n\\1-grams:\n-1e308\t</s>\n-99.0\t<s>\n0.0\t中\n\n\\end\\\n"))
+    one = HomophoneLattice(units=("zhong1",), positions=((("中", -1.0),),))
+    assert beam_transcribe(one, end_lm, 1e307).total_score == -1e307 - 1e308
+    with pytest.raises(ValueError, match="^sentence end: transcription score is not finite"):
+        beam_transcribe(one, end_lm, 1e308)
 
 
 def test_beam_width_zero_is_rejected():
