@@ -426,7 +426,8 @@ def cmd_stats(args, config: PipelineConfig) -> int:
     if args.n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {args.n_max}")
     pipe = Pipeline(config)
-    name = args.parallel or args.corpus or "corpus_toy20.txt"
+    source = args.parallel or args.corpus
+    name = Path(source) if source else "corpus_toy20.txt"   # named as _read names it
     if args.parallel:
         corpus = _read(args.parallel, read_parallel_tsv, pipe.inventory)
     else:
@@ -447,7 +448,7 @@ def cmd_score(args, config: PipelineConfig) -> int:
     def read_tokens(path):
         return [list(l) if args.chars else l.split() for l in _read(path)]
 
-    def tone_stripped(path, rows):   # every unit must parse as a tonal unit
+    def stripped(path, rows):   # every unit must parse as a tonal unit
         for lineno, tokens in enumerate(rows, 1):
             with _naming(f"{path}:{lineno}"):
                 yield [strip_tone(parse_syllable(t, inventory)) for t in tokens]
@@ -457,8 +458,7 @@ def cmd_score(args, config: PipelineConfig) -> int:
         raise ValueError(f"{len(refs)} references in {args.refs} vs {len(hyps)} hypotheses in {args.hyps}")
     reports = {"error_rate": metrics.error_rate(refs, hyps)}
     if args.tone_stripped:   # checked and scored before anything is written
-        reports["tone_stripped"] = metrics.error_rate([*tone_stripped(args.refs, refs)],
-                                                      [*tone_stripped(args.hyps, hyps)])
+        reports["tone_stripped"] = metrics.error_rate([*stripped(args.refs, refs)], [*stripped(args.hyps, hyps)])
     if args.jsonl:
         with atomic_open(Path(args.jsonl)) as fh:
             metrics.write_report_jsonl(reports["error_rate"], fh)
